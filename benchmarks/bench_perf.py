@@ -25,9 +25,9 @@ from repro import (
     ButterflyFatTreeModel,
     SimConfig,
     Workload,
-    saturation_injection_rate,
     simulate,
 )
+from repro.core import saturation_injection_rate
 from repro.core.generic_model import bft_stage_graph
 
 
@@ -47,17 +47,20 @@ def test_generic_solver_1024(benchmark):
 
 
 def test_saturation_search_1024(benchmark):
-    """Full Eq. 26 search at N=1024 (vectorized bracket by default)."""
+    """Full Eq. 26 search at N=1024 (the batched bracket)."""
     model = ButterflyFatTreeModel(1024)
     result = benchmark(lambda: saturation_injection_rate(model, 32).flit_load)
     assert 0.02 < result < 0.06
 
 
 def test_saturation_search_scalar_1024(benchmark):
-    """The seed's scalar bracket-plus-bisection, kept as the comparison."""
+    """The per-probe bracket-plus-bisection (driven through ``stable=``),
+    kept as the comparison."""
     model = ButterflyFatTreeModel(1024)
     result = benchmark(
-        lambda: saturation_injection_rate(model, 32, vectorized=False).flit_load
+        lambda: saturation_injection_rate(
+            model, 32, stable=model.is_stable
+        ).flit_load
     )
     assert 0.02 < result < 0.06
 

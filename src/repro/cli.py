@@ -15,7 +15,7 @@ Gives downstream users the main entry points without writing Python:
   SQLite-backed queries), ``runs diff``, ``runs doctor`` (corruption
   audit / quarantine) and ``runs reindex`` (rebuild the query index);
 * ``lint``        — static analysis of the source tree itself: the
-  file-local invariant rules (REP001-007) plus the call-graph
+  file-local invariant rules (REP001-004, REP006-007) plus the call-graph
   concurrency rules (REP201-204); ``--rules`` selects families
   (``REP2xx``), ``--list-rules`` prints the catalog, exit 1 on findings;
 * ``model``       — one analytical evaluation (latency breakdown);
@@ -100,7 +100,7 @@ _SIMULATORS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree (exposed for shell-completion tooling)."""
-    from .runs.scenario import BACKENDS, TOPOLOGIES
+    from .runs.scenario import BACKEND_ALIASES, BACKENDS, TOPOLOGIES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -237,9 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_shape(p_run)
     p_run.add_argument(
         "--backend",
-        choices=BACKENDS,
+        choices=(*BACKENDS, *BACKEND_ALIASES),
         default="batch",
-        help="model (scalar reference), batch (vectorized), simulate, baseline",
+        help="batch (the analytical model), simulate, baseline; "
+        "model is an alias of batch",
     )
     p_run.add_argument(
         "--points",
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint",
         help="static analysis of the source tree: invariant rules "
-        "(REP001-007) plus call-graph concurrency rules (REP201-204)",
+        "(REP001-004, REP006-007) plus call-graph concurrency rules (REP201-204)",
     )
     p_lint.add_argument(
         "paths",
@@ -385,12 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="model latency-vs-load table")
     add_common(p_sweep, with_load=False)
     p_sweep.add_argument("--points", type=int, default=10, help="grid points")
-    p_sweep.add_argument(
-        "--scalar",
-        action="store_true",
-        help="force one model solve per grid point (default: one batched "
-        "NumPy solve for the whole grid)",
-    )
 
     p_sat = sub.add_parser("saturation", help="Eq. 26 saturation throughput")
     p_sat.add_argument("--processors", "-n", type=int, default=256)
@@ -867,19 +862,10 @@ def _cmd_model(args):
 def _cmd_sweep(args):
     model = ButterflyFatTreeModel(args.processors)
     spec = _spec_from_args(args)
-    if args.scalar and spec is not None:
-        raise ConfigurationError(
-            "--scalar (the per-point batch-engine cross-check) only applies "
-            "to the uniform closed-form model; drop it or drop --pattern"
-        )
     # A pattern builds the per-channel solver once; grid and sweep then both
     # go through its batch engine.
     evaluator = model.traffic_model(spec, args.flits) if spec is not None else model
     grid = load_grid_to_saturation(evaluator, args.flits, n_points=args.points)
-    # Handing latency_sweep the model routes the grid through the batch
-    # engine (one vectorized solve); a plain wrapper forces per-point mode.
-    if args.scalar:
-        evaluator = lambda wl: model.latency(wl)
     curve = latency_sweep(evaluator, args.flits, grid)
     suffix = f", {spec.name}" if spec is not None else ""
     text = format_table(

@@ -18,7 +18,7 @@ channels.  This module implements that general recursion over an explicit
 
 On an acyclic stage graph (fat-trees, e-cube hypercubes) a single reverse
 topological sweep is exact; on cyclic graphs the same recursion is iterated
-to a fixed point (:func:`repro.util.fixedpoint.fixed_point`).
+to a fixed point (:func:`repro.util.fixedpoint.fixed_point_batch`).
 
 :func:`bft_stage_graph` re-derives the paper's butterfly fat-tree equations
 from this general machinery; the test suite verifies it matches the
@@ -499,37 +499,27 @@ class ChannelGraphModel:
         # An exhausted budget is therefore accepted when the residual is
         # below this floor, and diagnosed as a ConvergenceError otherwise.
         residual_floor = 1e-6
-        try:
-            with trace_span("solve/fixed_point", points=n_points):
-                result = fixed_point_batch(
-                    step, x0, tol=1e-12, max_iter=20_000, damping=0.5
-                )
-        except ConvergenceError as exc:
-            if exc.residual <= residual_floor:
-                METRICS.add("fixed_point.exhausted_accepted")
-                with trace_span("solve/fixed_point", points=n_points, retry=True):
-                    result = fixed_point_batch(
-                        step,
-                        x0,
-                        tol=1e-12,
-                        max_iter=20_000,
-                        damping=0.5,
-                        allow_divergence=True,
-                    )
-            else:
-                channel = (
-                    names[exc.worst_component]
-                    if exc.worst_component is not None
-                    else None
-                )
+        with trace_span("solve/fixed_point", points=n_points):
+            result = fixed_point_batch(
+                step, x0, tol=1e-12, max_iter=20_000, damping=0.5
+            )
+        if not result.converged:
+            if not result.residual <= residual_floor:
+                worst = result.worst_component
+                channel = names[worst] if worst is not None else None
+                active = int(np.sum(np.all(np.isfinite(result.value), axis=0)))
                 raise ConvergenceError(
                     f"cyclic channel-graph solve did not converge"
-                    f"{f' (worst channel {channel!r})' if channel else ''}: {exc}",
-                    iterations=exc.iterations,
-                    residual=exc.residual,
-                    worst_component=exc.worst_component,
+                    f"{f' (worst channel {channel!r})' if channel else ''}: "
+                    f"batched fixed point not reached after {result.iterations} "
+                    f"iterations (residual {result.residual:.3e}, worst component "
+                    f"{worst}, active points {active}/{n_points})",
+                    iterations=result.iterations,
+                    residual=result.residual,
+                    worst_component=worst,
                     worst_channel=channel,
-                ) from exc
+                )
+            METRICS.add("fixed_point.exhausted_accepted")
         solved = {}
         for n in names:
             stage = self.stages[n]

@@ -8,20 +8,18 @@ rates at which every channel in the model still admits a steady state
 (interior channels can saturate first, driving ``x_{0,1}`` to infinity,
 which the same criterion captures).
 
-Two search strategies share the same bracketing invariant:
+Every model that exposes ``stability_batch`` (all the analytical models
+and stage graphs do) is searched one way: the whole doubling ladder is
+evaluated in *one* batched model solve, and the bracket is then narrowed
+by solving a uniform grid of interior points per pass — a multiway
+bisection that reaches the boundary with a handful of batched solves.
 
-* **Vectorized** (default when the model exposes ``stability_batch``): the
-  whole doubling ladder is evaluated in *one* batched model solve, and the
-  bracket is then narrowed by solving a uniform grid of interior points per
-  pass — a multiway bisection that reaches the same boundary with a handful
-  of batched solves instead of ~25 scalar ones.
-* **Scalar** (simulators, custom ``stable`` predicates, or
-  ``vectorized=False``): the paper's procedure — "we let source arrival
-  rate increase ... until the above equation is satisfied" — bracketing by
-  doubling and bisecting to a relative tolerance, one solve per probe.
-
-Both return the stable lower edge of a bracket whose relative width is at
-most ``rel_tol``, so their results agree to ``rel_tol``.
+A custom ``stable`` predicate (the simulator-driven empirical search) or a
+model with only ``is_stable`` has no batch form; those take the paper's
+procedure — "we let source arrival rate increase ... until the above
+equation is satisfied" — bracketing by doubling and bisecting, one probe
+per solve.  Both return the stable lower edge of a bracket whose relative
+width is at most ``rel_tol``, so their results agree to ``rel_tol``.
 """
 
 from __future__ import annotations
@@ -100,7 +98,6 @@ def saturation_injection_rate(
     rel_tol: float = 1e-6,
     max_doublings: int = 60,
     stable: Callable[[Workload], bool] | None = None,
-    vectorized: bool | None = None,
     spec=None,
 ) -> SaturationResult:
     """Find the saturation injection rate of ``model`` (bracket + narrow).
@@ -109,8 +106,8 @@ def saturation_injection_rate(
     ----------
     model:
         Object with an ``is_stable(workload)`` method; models that also
-        expose ``stability_batch(loads, message_flits)`` get the vectorized
-        search (ignored when a custom ``stable`` predicate is supplied).
+        expose ``stability_batch(loads, message_flits)`` get the batched
+        search (unless a custom ``stable`` predicate is supplied).
     message_flits:
         Worm length for the sweep.
     initial_rate:
@@ -123,19 +120,13 @@ def saturation_injection_rate(
     stable:
         Optional replacement stability predicate (used to drive the same
         search with a simulator in the empirical-saturation harness);
-        implies the scalar path.
-    vectorized:
-        Force (True) or forbid (False) the batched search; ``None`` (the
-        default) auto-detects ``stability_batch`` on the model.  Forcing
-        it on a model without ``stability_batch`` (or together with a
-        ``stable`` predicate) raises :class:`ConfigurationError` rather
-        than silently falling back.
+        searched one probe at a time.
     spec:
         Optional :class:`~repro.traffic.spec.TrafficSpec`: search the
         saturation point of the *pattern-aware* solver built by
         ``model.traffic_model(spec, message_flits)`` instead of the
         uniform model.  The pattern graphs expose ``stability_batch``, so
-        the search stays vectorized.
+        the search stays batched.
     """
     if not isinstance(message_flits, int) or message_flits <= 0:
         raise ConfigurationError("message_flits must be a positive integer")
@@ -151,23 +142,8 @@ def saturation_injection_rate(
     if lo <= 0:
         raise ConfigurationError("initial_rate must be positive")
 
-    if vectorized:
-        if stable is not None:
-            raise ConfigurationError(
-                "vectorized=True cannot be combined with a custom stable "
-                "predicate (per-point predicates have no batch form)"
-            )
-        if not hasattr(model, "stability_batch"):
-            raise ConfigurationError(
-                "vectorized=True requires a model exposing stability_batch"
-            )
-    use_batch = (
-        vectorized
-        if vectorized is not None
-        else (stable is None and hasattr(model, "stability_batch"))
-    )
-    if use_batch:
-        return _saturation_vectorized(
+    if stable is None and hasattr(model, "stability_batch"):
+        return _saturation_batched(
             model, message_flits, lo, rel_tol=rel_tol, max_doublings=max_doublings
         )
     predicate = stable if stable is not None else model.is_stable
@@ -176,7 +152,7 @@ def saturation_injection_rate(
     )
 
 
-# --- scalar search (simulators / custom predicates) ---------------------------------
+# --- per-probe search (custom predicates / models without stability_batch) ----------
 
 
 def _saturation_scalar(
@@ -226,7 +202,7 @@ def _saturation_scalar(
     )
 
 
-# --- vectorized search (batched models) ---------------------------------------------
+# --- batched search (models with stability_batch) ----------------------------------
 
 #: Interior points per refinement solve: each batched pass narrows the
 #: bracket by a factor of ``2**_REFINE_DEPTH`` (the multiway analogue of
@@ -234,7 +210,7 @@ def _saturation_scalar(
 _REFINE_DEPTH = 6
 
 
-def _saturation_vectorized(
+def _saturation_batched(
     model,
     message_flits: int,
     start: float,
@@ -248,7 +224,7 @@ def _saturation_vectorized(
     search costs a handful of batched model solves.
     """
     # One batched solve covers the starting guess and the entire upward
-    # doubling ladder of the scalar search.
+    # doubling ladder of the per-probe search.
     ladder = start * np.power(2.0, np.arange(max_doublings + 1))
     stab = np.asarray(model.stability_batch(ladder, message_flits), dtype=bool)
     if stab[0]:

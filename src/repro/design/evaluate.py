@@ -2,13 +2,13 @@
 
 Each candidate costs two model-side quantities:
 
-* the mean latency at the requirement's demand point — one
-  ``latency_batch`` evaluation for batch-capable evaluators (every fat-tree
-  and stage-graph model), scalar ``latency`` for the Dally torus baseline;
-* the saturation flit load — the vectorized Eq. 26 bracket
+* the mean latency at the requirement's demand point — one one-point
+  ``latency_batch`` evaluation (every family's evaluators, the Dally
+  torus included, are batch-capable);
+* the saturation flit load — the closed-form capacity bound where the
+  evaluator provides one, the batched Eq. 26 bracket
   (:func:`~repro.core.throughput.saturation_injection_rate`, a handful of
-  ``stability_batch`` solves) where available, the closed-form capacity
-  bound where the evaluator provides one, the scalar bisection otherwise.
+  ``stability_batch`` solves) otherwise.
 
 Results are *memoized* in two layers keyed by the model identity
 ``(family, params, message_flits, spec)``: the saturation search and the
@@ -31,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..config import Workload
 from ..errors import ConfigurationError, PartitionedNetworkError, SaturatedError
 from ..obs.metrics import METRICS
 from ..util.parallel import parallel_map
@@ -125,10 +124,8 @@ def metrics_cache_size() -> int:
 
 def _latency_at(model, flit_load: float, message_flits: int) -> float:
     """Mean latency at one operating point through the batch engine."""
-    if hasattr(model, "latency_batch"):
-        rates = np.array([flit_load / message_flits])
-        return float(model.latency_batch(rates, message_flits)[0])
-    return model.latency(Workload.from_flit_load(flit_load, message_flits))
+    rates = np.array([flit_load / message_flits])
+    return float(model.latency_batch(rates, message_flits)[0])
 
 
 def _saturation_flit_load(model, message_flits: int) -> float:

@@ -16,7 +16,7 @@
 * :mod:`repro.experiments.design_exploration` — SLO-driven sizing of a
   CM-5-class machine through the design-space explorer;
 * :mod:`repro.experiments.topology_matrix` — one Scenario per topology
-  family through the model/baseline/simulate backends of the facade;
+  family through the batch/baseline/simulate backends of the facade;
 * :mod:`repro.experiments.faults` — degraded-mode curves: per-family
   saturation and latency as seeded random link failures accumulate.
 

@@ -182,7 +182,7 @@ def run_topology_matrix(
             measure_cycles=m.measure_cycles,
             label="topology-matrix",
         )
-        model = runner.run(scenario.with_backend("model"))
+        model = runner.run(scenario.with_backend("batch"))
         baseline = runner.run(scenario.with_backend("baseline"))
         simulated = runner.run(scenario.with_backend("simulate"))
         rows.append(

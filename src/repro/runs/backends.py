@@ -16,21 +16,20 @@ registry:
     ``sweep_points >= 2`` (analytical backends only — simulation cost is
     per point, so simulated curves stay an explicit choice).
 
-The ``model`` backend is the reference scalar engine (one solve per
-point); ``batch`` answers through the vectorized engine and is
-bit-identical to ``model`` by construction (PR 1's equivalence tests);
-``baseline`` swaps in the family's prior-art model variant; ``simulate``
+``batch`` answers through the vectorized analytical engine (the retired
+name ``model`` resolves to it, see
+:func:`~repro.runs.scenario.canonical_backend`); ``baseline`` swaps in the
+family's prior-art model variant through the same engine; ``simulate``
 runs an independently seeded replication set and records the model
 prediction alongside for crosschecks.
 
 Topology families resolve through the design-family registry
 (:mod:`repro.design.families`): ``scenario.family_params()`` names one
 assignment, and the family supplies the analytical evaluator, the
-prior-art baseline evaluator, and the simulator topology.  Closed-form
-models (butterfly and generalized fat-trees, the Dally torus) expose a
-per-workload ``latency``; stage-graph evaluators (the hypercube and
-every pattern-aware graph) evaluate points through one-element batches —
-either way the scalar path stays one solve per point.
+prior-art baseline evaluator, and the simulator topology.  Every
+evaluator (closed forms and stage graphs alike) answers the operating
+point as a one-element ``latency_batch`` and the curve as one batched
+sweep.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from typing import Any, Callable
 import numpy as np
 
 from ..config import Workload
-from ..core.generic_model import ChannelGraphModel
 from ..core.sweep import LatencyCurve, latency_sweep
 from ..core.throughput import SaturationResult, saturation_injection_rate
 from ..design.families import DesignFamily, design_family
@@ -140,18 +138,8 @@ def _variant_label(evaluator: Any) -> str:
     return getattr(variant, "label", type(evaluator).__name__)
 
 
-def _point_latency(evaluator: Any, workload: Workload, *, scalar: bool) -> float:
-    """Latency at one operating point through either engine.
-
-    The scalar path uses the per-point ``latency``/one-point-batch route
-    (the reference engine); the batch path is a one-element vectorized
-    solve.  They agree bit-for-bit — keeping both exercised is exactly
-    what makes ``repro runs diff`` between the two backends a meaningful
-    regression check.  Stage graphs (:class:`ChannelGraphModel`) have no
-    per-workload ``latency``; their scalar route is the one-point batch.
-    """
-    if scalar and not isinstance(evaluator, ChannelGraphModel):
-        return float(evaluator.latency(workload))
+def _point_latency(evaluator: Any, workload: Workload) -> float:
+    """Latency at one operating point: a one-element batched solve."""
     return float(
         np.asarray(
             evaluator.latency_batch(
@@ -172,10 +160,9 @@ def _grid_for(scenario: Scenario, saturation_flit_load: float) -> np.ndarray | N
     derived grid keeps one convention across backends.
 
     *Explicit* grids (``scenario.flit_loads``) are the caller's to choose
-    and are evaluated exactly as given on both analytical engines — a
-    grid containing ``0.0`` yields the exact zero-load latency, never the
-    2% floor, and ``model`` and ``batch`` stay bit-identical on it (a
-    regression test pins this policy).
+    and are evaluated exactly as given — a grid containing ``0.0`` yields
+    the exact zero-load latency, never the 2% floor (a regression test
+    pins this policy).
     """
     if scenario.flit_loads is not None:
         return np.asarray(scenario.flit_loads, dtype=float)
@@ -207,8 +194,7 @@ def _saturation_metrics(sat: SaturationResult) -> dict:
 
 
 def _run_analytical(scenario: Scenario) -> tuple[dict, dict]:
-    """Shared driver of the ``model``, ``batch`` and ``baseline`` backends."""
-    scalar = scenario.backend == "model"
+    """Shared driver of the ``batch`` and ``baseline`` backends."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     with trace_span("run/build", topology=scenario.topology):
@@ -217,52 +203,28 @@ def _run_analytical(scenario: Scenario) -> tuple[dict, dict]:
     timings["build_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # The Eq. 26 search anchors the derived curve grid, so it must be
-    # backend-invariant: auto-detection picks the batched bracketing for
-    # every evaluator exposing stability_batch (all families do), and the
-    # ``model`` and ``batch`` backends therefore see the same saturation
-    # point and the same grid — the bit-identity the parity tests pin
-    # covers the whole curve, not just the operating point.
+    # The Eq. 26 search anchors the derived curve grid; every family's
+    # evaluator exposes stability_batch, so it is the batched bracket.
     with trace_span("run/saturation"):
         sat = saturation_injection_rate(evaluator, scenario.message_flits)
     timings["saturation_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     with trace_span("run/evaluate", points=scenario.sweep_points):
-        point = _point_latency(evaluator, scenario.workload(), scalar=scalar)
+        point = _point_latency(evaluator, scenario.workload())
         grid = _grid_for(scenario, sat.flit_load)
         curve = None
         if grid is not None:
-            if scalar:
-                # Reference engine: one model solve per grid point.
-                flits = scenario.message_flits
-                lat = np.array(
-                    [
-                        _point_latency(
-                            evaluator,
-                            Workload.from_flit_load(float(x), flits),
-                            scalar=True,
-                        )
-                        for x in grid
-                    ]
-                )
-                curve = LatencyCurve(
-                    label=f"{scenario.backend} {flits}-flit",
-                    message_flits=flits,
-                    flit_loads=grid,
-                    latencies=lat,
-                )
-            else:
-                curve = latency_sweep(
-                    evaluator,
-                    scenario.message_flits,
-                    grid,
-                    label=f"{scenario.backend} {scenario.message_flits}-flit",
-                )
+            curve = latency_sweep(
+                evaluator,
+                scenario.message_flits,
+                grid,
+                label=f"{scenario.backend} {scenario.message_flits}-flit",
+            )
     timings["evaluate_s"] = time.perf_counter() - t0
 
     metrics = {
-        "engine": "scalar" if scalar else "batch",
+        "engine": "batch",
         "variant": _variant_label(evaluator),
         "family": {"name": fam.name, "params": dict(params)},
         "faults": _fault_provenance(scenario),
@@ -330,7 +292,7 @@ def _run_simulate(scenario: Scenario) -> tuple[dict, dict]:
         )
     timings["simulate_s"] = time.perf_counter() - t0
 
-    prediction = _point_latency(evaluator, workload, scalar=False)
+    prediction = _point_latency(evaluator, workload)
     metrics = {
         "engine": scenario.simulator,
         "family": {"name": fam.name, "params": dict(params)},
@@ -371,7 +333,6 @@ def _run_simulate(scenario: Scenario) -> tuple[dict, dict]:
 
 
 _BACKENDS: dict[str, Callable[[Scenario], tuple[dict, dict]]] = {
-    "model": _run_analytical,
     "batch": _run_analytical,
     "baseline": _run_analytical,
     "simulate": _run_simulate,

@@ -37,11 +37,14 @@ from ..errors import RegistryError
 from ..obs.metrics import METRICS
 from .registry import RunRegistry
 from .result import SCHEMA_VERSION, RunResult
+from .scenario import canonical_backend
 
 __all__ = ["RunIndex", "INDEX_SCHEMA_VERSION"]
 
-#: Bump whenever the index layout changes; a mismatch forces a rebuild.
-INDEX_SCHEMA_VERSION = 1
+#: Bump whenever the index layout (or what a row holds) changes; a
+#: mismatch forces a rebuild.  2: ``backend`` holds the canonical name
+#: (retired aliases such as ``model`` resolved, see ``canonical_backend``).
+INDEX_SCHEMA_VERSION = 2
 
 _INDEX_FILE = "runs.index.sqlite"
 
@@ -268,7 +271,9 @@ class RunIndex:
         provenance = record.get("provenance")
         if not isinstance(provenance, dict):
             provenance = {}
-        backend = scenario.get("backend") or provenance.get("backend")
+        backend = canonical_backend(
+            scenario.get("backend") or provenance.get("backend")
+        )
         return (
             run_id,
             str(record.get("kind", "scenario")),
@@ -354,6 +359,7 @@ class RunIndex:
         conn = self._connect()
         clauses = []
         params: list[Any] = []
+        filters["backend"] = canonical_backend(filters.get("backend"))
         for column in _FILTER_COLUMNS:
             value = filters.get(column)
             if value is not None:

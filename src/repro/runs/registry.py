@@ -38,6 +38,7 @@ from ..errors import ConfigurationError, RegistryError, SchemaVersionError
 from ..obs.metrics import METRICS
 from ..util.tables import format_table
 from .result import RunResult, json_restore
+from .scenario import canonical_backend
 
 __all__ = [
     "RunRegistry",
@@ -470,7 +471,12 @@ class RunRegistry:
         message_flits: int | None = None,
         predicate: Callable[[RunResult], bool] | None = None,
     ) -> list[RunResult]:
-        """Filter records by scenario fields (insertion order preserved)."""
+        """Filter records by scenario fields (insertion order preserved).
+
+        ``backend`` may be a retired alias (``"model"``); it matches the
+        backend the alias names.
+        """
+        backend = canonical_backend(backend)
         out = []
         for record in self:
             sc = record.scenario

@@ -4,13 +4,15 @@ A :class:`Scenario` pins down *what* is being asked — topology, operating
 point, message length, traffic pattern, and measurement protocol — while
 the ``backend`` field selects *how* it is answered:
 
-* ``model``    — the paper's analytical model, solved point by point
-  (the reference scalar engine);
-* ``batch``    — the same model through the vectorized batch engine
-  (bit-identical numbers, one NumPy pass per curve);
+* ``batch``    — the paper's analytical model through the vectorized
+  batch engine (one NumPy pass per curve);
 * ``simulate`` — a replication set of discrete-event simulations;
 * ``baseline`` — the prior-art model variant (independent M/G/1 links,
   no blocking correction), for paper-style comparisons.
+
+The retired name ``model`` is still accepted: :func:`canonical_backend`
+maps it to ``batch`` on construction, so a ``model`` scenario *is* its
+``batch`` twin — same JSON form, same :func:`scenario_key`.
 
 Because every field is a plain JSON-able value (no live model or
 simulator objects), a scenario round-trips losslessly through
@@ -40,16 +42,34 @@ from ..errors import ConfigurationError
 from ..traffic.spec import TrafficSpec, available_patterns, make_spec
 from ..util.validation import exact_exponent
 
-__all__ = ["BACKENDS", "SIMULATORS", "TOPOLOGIES", "Scenario", "scenario_key"]
+__all__ = [
+    "BACKENDS",
+    "BACKEND_ALIASES",
+    "SIMULATORS",
+    "TOPOLOGIES",
+    "Scenario",
+    "canonical_backend",
+    "scenario_key",
+]
 
 #: Evaluation backends a scenario can dispatch to.
-BACKENDS = ("model", "batch", "simulate", "baseline")
+BACKENDS = ("batch", "simulate", "baseline")
+
+#: Retired backend names still accepted as input (CLI flags, serve
+#: requests, old registry records), with the backend each one means.
+BACKEND_ALIASES = {"model": "batch"}
+
+
+def canonical_backend(name: Any) -> Any:
+    """The backend ``name`` stands for: aliases resolved, others unchanged."""
+    return BACKEND_ALIASES.get(name, name) if isinstance(name, str) else name
+
 
 #: Simulator engines the ``simulate`` backend accepts.
 SIMULATORS = ("event", "flit", "buffered")
 
 #: Topology families the facade evaluates end to end — every family goes
-#: through all four backends (the names double as design-family keys, see
+#: through every backend (the names double as design-family keys, see
 #: :mod:`repro.design.families`).
 TOPOLOGIES = ("bft", "generalized-fattree", "hypercube", "kary-ncube")
 
@@ -202,7 +222,8 @@ class Scenario:
         Extra spec parameters (e.g. ``hotspot_fraction``); stored as a
         plain mapping so the scenario stays JSON-able.
     backend:
-        One of :data:`BACKENDS`.
+        One of :data:`BACKENDS` (an alias from :data:`BACKEND_ALIASES` is
+        replaced by the backend it names).
     sweep_points:
         Grid size of the latency-vs-load curve the analytical backends
         produce; ``0`` skips the curve.  The simulate backend never
@@ -254,6 +275,7 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown topology {self.topology!r}; supported: {TOPOLOGIES}"
             )
+        object.__setattr__(self, "backend", canonical_backend(self.backend))
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; supported: {BACKENDS}"

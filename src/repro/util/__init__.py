@@ -3,7 +3,8 @@
 Submodules
 ----------
 ``fixedpoint``
-    Damped fixed-point iteration used by the generic channel-graph solver.
+    Damped, column-batched fixed-point iteration used by the generic
+    channel-graph solver.
 ``rng``
     Reproducible random-stream spawning built on :class:`numpy.random.SeedSequence`.
 ``stats``
@@ -14,7 +15,7 @@ Submodules
     Small argument-checking helpers with consistent error messages.
 """
 
-from .fixedpoint import FixedPointResult, fixed_point
+from .fixedpoint import FixedPointResult
 from .rng import spawn_rngs, spawn_seeds
 from .stats import OnlineStats, mean_confidence_interval
 from .tables import format_table, ascii_curve
@@ -29,7 +30,6 @@ from .validation import (
 
 __all__ = [
     "FixedPointResult",
-    "fixed_point",
     "spawn_rngs",
     "spawn_seeds",
     "OnlineStats",

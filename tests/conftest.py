@@ -11,6 +11,12 @@ import pytest
 from repro import ButterflyFatTree, Hypercube, KaryNCube, SimConfig, Workload
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: end-to-end tests that take minutes (e.g. example scripts)"
+    )
+
+
 @pytest.fixture(scope="session")
 def bft16() -> ButterflyFatTree:
     return ButterflyFatTree(16)

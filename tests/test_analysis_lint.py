@@ -1,4 +1,4 @@
-"""True/false-positive fixture tests for every code-lint rule (REP001-007)."""
+"""True/false-positive fixture tests for every code-lint rule (REP001-004, REP006-007)."""
 
 from __future__ import annotations
 
@@ -214,40 +214,6 @@ class TestREP004FloatEq:
 
     def test_pragma_suppresses(self):
         assert lint_snippet("ok = x == 0.5  # lint: allow-float-eq\n") == []
-
-
-class TestREP005Shims:
-    def test_toplevel_shim_import_flagged(self):
-        fs = lint_source(
-            "from repro import latency_sweep\n",
-            Path("src/repro/design/foo.py"),
-        )
-        assert rules_of(fs) == ["REP005"]
-
-    def test_relative_root_shim_import_flagged(self):
-        fs = lint_source(
-            "from .. import explore\n",
-            Path("src/repro/design/foo.py"),
-        )
-        assert rules_of(fs) == ["REP005"]
-
-    def test_shim_attribute_flagged(self):
-        fs = lint_snippet("import repro\nrepro.latency_sweep(16)\n")
-        assert rules_of(fs) == ["REP005"]
-
-    def test_replacement_import_ok(self):
-        fs = lint_source(
-            "from ..runs import run\n",
-            Path("src/repro/design/foo.py"),
-        )
-        assert fs == []
-
-    def test_pragma_suppresses(self):
-        fs = lint_source(
-            "from repro import latency_sweep  # lint: allow-shim-import\n",
-            Path("src/repro/design/foo.py"),
-        )
-        assert fs == []
 
 
 class TestREP006WallClock:

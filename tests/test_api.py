@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,7 @@ class TestExports:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
 
     @pytest.mark.parametrize(
         "name",
@@ -33,7 +37,6 @@ class TestExports:
             "SimConfig",
             "simulate",
             "simulate_flit_level",
-            "saturation_injection_rate",
             "ModelVariant",
             "bft_stage_graph",
             "hypercube_stage_graph",
@@ -41,6 +44,30 @@ class TestExports:
     )
     def test_key_entry_points_exported(self, name):
         assert name in repro.__all__
+
+    def test_retired_shims_are_gone(self):
+        # The 2.x deprecation shims were removed in 3.0; the functions live
+        # on in their home modules only.
+        from repro.core import saturation_injection_rate
+
+        assert "saturation_injection_rate" not in repro.__all__
+        assert not hasattr(repro, "saturation_injection_rate")
+        assert callable(saturation_injection_rate)
+
+    def test_import_needs_no_scipy(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, repro; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_subpackages_importable(self):
         import repro.baselines

@@ -110,10 +110,10 @@ class TestCommands:
             build_parser().parse_args(["model", "--pattern", "zipf"])
 
     def test_scalar_with_pattern_is_clean_error(self, capsys):
-        rc = main(
-            ["sweep", "-n", "16", "-f", "16", "--pattern", "tornado", "--scalar"]
-        )
-        assert rc == 2
+        # --scalar left with the per-point engine: a plain usage error now.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "-n", "16", "-f", "16", "--pattern", "tornado", "--scalar"])
+        assert excinfo.value.code == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("engine", ["event", "flit", "buffered"])

@@ -223,6 +223,60 @@ class TestCyclicGraphFixedPoint:
         assert np.max(rel) <= 1e-7  # fixed points agree to iteration tolerance
 
 
+    #: Service and wait per stage of the ring at rate scales 0.5, 1, 2 after
+    #: exactly 40 damped iterations (float.hex, so the check is bit-exact).
+    EXHAUSTED_AT_40 = {
+        "a": (
+            ("0x1.01095576256d9p+3", "0x1.02193f2dbd44ap+3", "0x1.044e0f4826930p+3"),
+            ("0x1.0a6a4b8ec84b7p-5", "0x1.0ed8a562bb566p-4", "0x1.183a0ec34f15cp-3"),
+        ),
+        "b": (
+            ("0x1.01095576256d9p+3", "0x1.02193f2dbd44ap+3", "0x1.044e0f4826930p+3"),
+            ("0x1.0a6a4b8ec84b7p-5", "0x1.0ed8a562bb566p-4", "0x1.183a0ec34f15cp-3"),
+        ),
+        "eject": (
+            ("0x1.0000000000000p+3", "0x1.0000000000000p+3", "0x1.0000000000000p+3"),
+            ("0x1.0842108421084p-5", "0x1.0a6810a6810a7p-4", "0x1.0ecf56be69c90p-3"),
+        ),
+    }
+
+    def test_exhausted_budget_accepted_in_one_pass(self, monkeypatch):
+        """A budget that runs out below the 1e-6 residual floor is accepted
+        from the one pass that ran: the step map is applied ``max_iter``
+        times (no second solve from ``x0``), the answer is the last
+        iterate, and the solver telemetry counts one exhausted solve."""
+        import repro.core.generic_model as generic_model
+        from repro.obs import METRICS
+
+        budget = 40  # the ring needs ~80 iterations to reach 1e-12
+        steps = []
+        real = generic_model.fixed_point_batch
+
+        def budgeted(func, x0, **kwargs):
+            def counted(x):
+                steps.append(1)
+                return func(x)
+
+            return real(counted, x0, **{**kwargs, "max_iter": budget})
+
+        monkeypatch.setattr(generic_model, "fixed_point_batch", budgeted)
+        graph = self._ring_graph(0.002)
+        with METRICS.collect() as got:
+            solved = graph.solve_batch(np.array([0.5, 1.0, 2.0]))
+        assert len(steps) == budget
+        for name, (service, wait) in self.EXHAUSTED_AT_40.items():
+            assert [float(v).hex() for v in solved[name].service] == list(service)
+            assert [float(v).hex() for v in solved[name].wait] == list(wait)
+        counters = got.data["counters"]
+        assert counters["fixed_point.exhausted"] == 1
+        assert counters["fixed_point.exhausted_accepted"] == 1
+        assert counters["fixed_point.solves"] == 1
+        iterations = got.data["histograms"]["fixed_point.iterations"]
+        assert (iterations["count"], iterations["total"]) == (1, budget)
+        residual = got.data["histograms"]["fixed_point.residual"]
+        assert residual["count"] == 1 and 1e-12 < residual["max"] <= 1e-6
+
+
 class TestFixedPointBatch:
     def test_freezes_diverging_columns_only(self):
         # Column 0 contracts to 1.0; column 1 blows up immediately.
@@ -339,7 +393,7 @@ class TestVectorizedSaturation:
         vectorized = saturation_injection_rate(model, 32)
         vectorized_solves = model.solve_calls
         model.solve_calls = 0
-        scalar = saturation_injection_rate(model, 32, vectorized=False)
+        scalar = saturation_injection_rate(model, 32, stable=model.is_stable)
         scalar_solves = model.solve_calls
         assert vectorized.flit_load == pytest.approx(scalar.flit_load, rel=1e-6)
         assert vectorized_solves < scalar_solves
@@ -368,21 +422,6 @@ class TestVectorizedSaturation:
         model = PredicateOnly(0.01)
         res = saturation_injection_rate(model, 32)
         assert res.injection_rate == pytest.approx(0.01, rel=1e-5)
-
-    def test_forced_vectorized_errors_when_unhonorable(self):
-        class PredicateOnly:
-            def is_stable(self, workload):
-                return workload.injection_rate < 0.01
-
-        with pytest.raises(ConfigurationError):
-            saturation_injection_rate(PredicateOnly(), 32, vectorized=True)
-        with pytest.raises(ConfigurationError):
-            saturation_injection_rate(
-                ButterflyFatTreeModel(64),
-                32,
-                vectorized=True,
-                stable=lambda wl: wl.injection_rate < 0.01,
-            )
 
 
 class TestLoadGridPointCount:

@@ -487,3 +487,40 @@ class TestDesignExperiment:
         assert {r[0] for r in rows} == {"uniform", "hotspot", "transpose"}
         # Quick mode reaches at least a 64-PE machine under the budget.
         assert all(r[1] >= 64 for r in rows)
+
+
+class TestFamilyEvaluatorsAreBatchCapable:
+    """Every evaluator the registry hands out answers through the batch
+    engine, so candidate evaluation needs no per-workload fallback."""
+
+    SHAPES = {
+        "bft": (dict(topology="bft", num_processors=16), "up:1:0"),
+        "generalized-fattree": (
+            dict(topology="generalized-fattree", num_processors=8, children=2,
+                 parents=2),
+            "up:1:0",
+        ),
+        "hypercube": (dict(topology="hypercube", num_processors=16), "up:0:1"),
+        "kary-ncube": (dict(topology="kary-ncube", num_processors=9, radix=3), "up:0:1"),
+    }
+
+    def test_registry_walk_is_complete(self):
+        assert sorted(self.SHAPES) == available_families()
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_every_evaluator_exposes_the_batch_api(self, name):
+        from repro.faults import FaultSpec
+        from repro.runs import Scenario
+
+        shape, dead = self.SHAPES[name]
+        family = design_family(name)
+        params = Scenario(**shape).family_params()
+        faults = FaultSpec(dead_links=(dead,))
+        evaluators = {
+            "evaluator": family.evaluator(params, None, 16),
+            "baseline_evaluator": family.baseline_evaluator(params, None, 16),
+            "faulted_evaluator": family.faulted_evaluator(params, None, 16, faults),
+        }
+        for role, evaluator in evaluators.items():
+            for method in ("latency_batch", "stability_batch"):
+                assert callable(getattr(evaluator, method, None)), (role, method)

@@ -33,6 +33,7 @@ from repro.faults import (
     parse_link_ref,
     parse_switch_ref,
 )
+from repro.core.generic_model import ChannelGraphModel, Stage, Transition
 from repro.runs import Runner, RunRegistry, Scenario
 from repro.simulation.runner import run_replications
 from repro.simulation.wormhole_sim import EventDrivenWormholeSimulator
@@ -40,7 +41,6 @@ from repro.topology.butterfly_fattree import ButterflyFatTree
 from repro.topology.hypercube import Hypercube
 from repro.traffic.flows import bft_channel_flows, masked_channel_flows
 from repro.traffic.spec import HotspotSpec
-from repro.util.fixedpoint import fixed_point
 
 #: One non-partitioning dead link per family: a redundant up link for the
 #: trees (the sibling parent survives), an injection link for the cubes
@@ -211,18 +211,18 @@ class TestFamilyMatrix:
         "shape,dead", FAMILY_MATRIX, ids=[s["topology"] for s, _ in FAMILY_MATRIX]
     )
     def test_model_and_batch_bit_identical_under_faults(self, shape, dead):
-        runner = Runner()
+        # ``model`` is an alias of ``batch``: the two name one question (one
+        # scenario key), so one run answers both.
         scenario = scenario_for(shape, dead)
-        model = runner.run(scenario.with_backend("model"))
-        batch = runner.run(scenario.with_backend("batch"))
-        assert (
-            model.metrics["point"]["latency"] == batch.metrics["point"]["latency"]
-        )
-        assert (
-            model.metrics["saturation"]["flit_load"]
-            == batch.metrics["saturation"]["flit_load"]
-        )
-        faults = model.metrics["faults"]
+        model = scenario.with_backend("model")
+        assert model == scenario.with_backend("batch")
+        assert model.key() == scenario.with_backend("batch").key()
+        result = Runner().run(model)
+        assert result.scenario.backend == "batch"
+        assert result.metrics["engine"] == "batch"
+        assert result.metrics["point"]["latency"] > 0
+        assert result.metrics["saturation"]["flit_load"] > 0
+        faults = result.metrics["faults"]
         assert faults["dead_links"] == [dead]
 
     @pytest.mark.parametrize(
@@ -422,14 +422,43 @@ class TestHotspotHardening:
 
 
 class TestConvergenceDiagnostics:
-    def test_fixed_point_error_carries_diagnostics(self):
+    def test_fixed_point_error_carries_diagnostics(self, monkeypatch):
+        # A cyclic stage graph whose budget runs out above the residual
+        # floor: the solver names the channel where the iteration stalled.
+        import repro.core.generic_model as generic_model
+
+        real = generic_model.fixed_point_batch
+        monkeypatch.setattr(
+            generic_model,
+            "fixed_point_batch",
+            lambda func, x0, **kw: real(func, x0, **{**kw, "max_iter": 10}),
+        )
+        ring = ChannelGraphModel(
+            [
+                Stage("eject", rate_per_server=0.002),
+                Stage(
+                    "a",
+                    rate_per_server=0.002,
+                    transitions=(Transition("b", 0.5), Transition("eject", 0.5)),
+                ),
+                Stage(
+                    "b",
+                    rate_per_server=0.002,
+                    transitions=(Transition("a", 0.5), Transition("eject", 0.5)),
+                ),
+            ],
+            message_flits=8,
+            entry="a",
+            average_distance=2.5,
+        )
         with pytest.raises(ConvergenceError) as excinfo:
-            fixed_point(lambda x: -x, np.array([1.0, 2.0]), max_iter=50)
+            ring.solve_batch(np.array([0.5, 1.0, 2.0]))
         err = excinfo.value
-        assert err.iterations == 50
-        assert err.residual > 0
-        assert err.worst_component == 1
-        assert "residual" in str(err)
+        assert err.iterations == 10
+        assert err.residual > 1e-6
+        assert err.worst_component == 0
+        assert err.worst_channel == "a"
+        assert "residual" in str(err) and "worst channel 'a'" in str(err)
 
 
 class _CrashOnFirstSeed(EventDrivenWormholeSimulator):

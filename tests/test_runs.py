@@ -315,7 +315,7 @@ class TestBackends:
     def test_explicit_zero_grid_exact_on_both_engines(self, family):
         """The explicit-grid policy: a grid containing 0.0 is evaluated
         exactly as given — the exact zero-load latency, never the 2% floor
-        the derived grids apply — and model/batch stay bit-identical."""
+        the derived grids apply — under either backend name."""
         grid = (0.0, 0.01, 0.02)
         sc = tiny_scenario(backend="model", flit_loads=grid, **family)
         a = run(sc)
@@ -346,7 +346,7 @@ class TestAcceptance:
         }
         # latency sweep (batch) ...
         assert len(results["batch"].metrics["curve"]["latencies"]) == 4
-        # ... a saturation search (model, scalar reference engine) ...
+        # ... a saturation search (model, an alias of batch) ...
         assert results["model"].metrics["saturation"]["flit_load"] > 0
         # ... a simulator replication set ...
         assert len(results["simulate"].metrics["replications"]) == 2
@@ -359,7 +359,6 @@ class TestAcceptance:
             assert loaded == result, backend
             assert RunResult.from_json(result.to_json()) == result, backend
         assert {r.scenario.backend for r in registry.query(label="acceptance")} == {
-            "model",
             "batch",
             "simulate",
             "baseline",
@@ -553,53 +552,6 @@ class TestFlatten:
         row_n = next(i for i, l in enumerate(rows) if l.startswith("n "))
         row_m = next(i for i, l in enumerate(rows) if l.startswith("m "))
         assert row_n < row_m
-
-
-class TestDeprecationShims:
-    def test_warns_exactly_once_per_call_site(self):
-        import repro
-        from repro import ButterflyFatTreeModel
-
-        model = ButterflyFatTreeModel(16)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.resetwarnings()
-            warnings.simplefilter("default")
-            for _ in range(3):
-                repro.saturation_injection_rate(model, 16)  # one call site, thrice
-            assert len(caught) == 1
-            assert issubclass(caught[0].category, DeprecationWarning)
-            assert "deprecated" in str(caught[0].message)
-            repro.saturation_injection_rate(model, 16)  # a second call site
-            assert len(caught) == 2
-
-    def test_every_shimmed_entry_point_warns_and_delegates(self):
-        import repro
-        from repro.core import saturation_injection_rate as undecorated
-
-        model = repro.ButterflyFatTreeModel(16)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.resetwarnings()
-            warnings.simplefilter("always")
-            sat = repro.saturation_injection_rate(model, 16)
-            grid = repro.load_grid_to_saturation(model, 16, n_points=4)
-            curve = repro.latency_sweep(model, 16, grid)
-            flit_load = repro.saturation_flit_load(model, 16)
-        assert len(caught) == 4
-        assert all(issubclass(w.category, DeprecationWarning) for w in caught)
-        # The shims delegate to the real implementations.
-        assert sat.injection_rate == undecorated(model, 16).injection_rate
-        assert flit_load == pytest.approx(sat.flit_load)
-        assert len(curve.latencies) == 4
-
-    def test_home_module_imports_stay_warning_free(self):
-        from repro.core import saturation_injection_rate
-        from repro import ButterflyFatTreeModel
-
-        model = ButterflyFatTreeModel(16)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("error", DeprecationWarning)
-            saturation_injection_rate(model, 16)
-        assert caught == []
 
 
 class TestRegistryScanMemo:

@@ -2,8 +2,8 @@
 
 The PR-5 acceptance criteria: ``Scenario(topology=…)`` accepts all four
 families, every (family × backend) pair returns the shared
-point/saturation/curve metric layout, ``model`` and ``batch`` are
-bit-identical per family, records round-trip losslessly through the
+point/saturation/curve metric layout, the retired ``model`` name resolves
+to ``batch`` per family, records round-trip losslessly through the
 registry, and the simulate-vs-model crosscheck stays bounded (half
 saturation for the families whose simulators run there; low load for the
 virtual-channel-less torus, mirroring ``repro experiment topologies``).
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.runs import BACKENDS, TOPOLOGIES, RunRegistry, RunResult, Runner, Scenario, run
+from repro.runs.scenario import BACKEND_ALIASES
 
 #: One tiny representative per family (sized so every backend answers in
 #: well under a second; the simulate backend uses short windows below).
@@ -49,7 +50,7 @@ def test_the_matrix_is_complete():
     assert set(FAMILY_SCENARIOS) == set(TOPOLOGIES)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", [*BACKENDS, *BACKEND_ALIASES])
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 class TestAcceptanceMatrix:
     def test_layout_roundtrip_and_registry(self, topology, backend, tmp_path):
@@ -69,7 +70,7 @@ class TestAcceptanceMatrix:
         else:
             assert metrics["saturation"]["flit_load"] > 0
             assert len(metrics["curve"]["latencies"]) == 4
-            assert metrics["engine"] == ("scalar" if backend == "model" else "batch")
+            assert metrics["engine"] == "batch"
             assert isinstance(metrics["variant"], str)
 
         # --- lossless JSON round trip and registry save/load ------------
@@ -85,15 +86,15 @@ class TestPerFamilyParity:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_model_and_batch_bit_identical(self, topology):
         scenario = family_scenario(topology, backend="model")
+        twin = scenario.with_backend("batch")
+        assert scenario == twin and scenario.key() == twin.key()
         a = run(scenario)
-        b = run(scenario.with_backend("batch"))
+        b = run(twin)
         assert a.metrics["point"]["latency"] == b.metrics["point"]["latency"]
         np.testing.assert_array_equal(
             a.metrics["curve"]["latencies"], b.metrics["curve"]["latencies"]
         )
-        assert a.metrics["saturation"]["flit_load"] == pytest.approx(
-            b.metrics["saturation"]["flit_load"], rel=1e-5
-        )
+        assert a.metrics["saturation"] == b.metrics["saturation"]
 
     @pytest.mark.parametrize(
         "topology", ["bft", "generalized-fattree", "hypercube"]

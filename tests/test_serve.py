@@ -81,7 +81,9 @@ class TestScenarioCache:
 
         cache = ScenarioCache(registry, solver=solver)
         cache.solve(tiny_scenario())
+        # ``model`` is an alias of ``batch``: the same question, a cache hit.
         cache.solve(tiny_scenario(backend="model"))
+        cache.solve(tiny_scenario(backend="baseline"))
         cache.solve(tiny_scenario(faults={"dead_links": ["up:1:0"]}))
         assert len(solved) == 3
         cache.close()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConfigurationError
 from repro.util import (
     OnlineStats,
     ascii_curve,
@@ -17,50 +17,61 @@ from repro.util import (
     check_positive,
     check_power_of,
     check_probability,
-    fixed_point,
     format_table,
     mean_confidence_interval,
     spawn_rngs,
     spawn_seeds,
 )
+from repro.util.fixedpoint import fixed_point_batch
 from repro.util.rng import replication_seeds
-from repro.util.stats import batch_means
+from repro.util.stats import batch_means, student_t_quantile
+
+
+def fixed_point(func, x0, **kwargs):
+    """One-column :func:`fixed_point_batch` over a state vector."""
+    res = fixed_point_batch(
+        lambda x: func(x[:, 0])[:, None], np.asarray(x0, dtype=float)[:, None], **kwargs
+    )
+    return res, res.value[:, 0]
 
 
 class TestFixedPoint:
     def test_linear_contraction(self):
-        res = fixed_point(lambda x: 0.5 * x + 1.0, np.array([0.0]))
+        res, value = fixed_point(lambda x: 0.5 * x + 1.0, np.array([0.0]))
         assert res.converged
-        assert res.value[0] == pytest.approx(2.0)
+        assert value[0] == pytest.approx(2.0)
 
     def test_vector_map(self):
         a = np.array([[0.2, 0.1], [0.0, 0.3]])
         b = np.array([1.0, 2.0])
-        res = fixed_point(lambda x: a @ x + b, np.zeros(2))
+        _, value = fixed_point(lambda x: a @ x + b, np.zeros(2))
         expected = np.linalg.solve(np.eye(2) - a, b)
-        assert np.allclose(res.value, expected)
+        assert np.allclose(value, expected)
 
     def test_damping_stabilises_oscillation(self):
         # x <- -x + 4 oscillates undamped; damping 0.5 converges to 2.
-        res = fixed_point(
+        _, value = fixed_point(
             lambda x: -x + 4.0, np.array([0.0]), damping=0.5, max_iter=5000
         )
-        assert res.value[0] == pytest.approx(2.0)
-
-    def test_divergence_raises(self):
-        with pytest.raises(ConvergenceError):
-            fixed_point(lambda x: 2.0 * x + 1.0, np.array([1.0]), max_iter=100)
+        assert value[0] == pytest.approx(2.0)
 
     def test_allow_divergence(self):
-        res = fixed_point(
-            lambda x: 2.0 * x + 1.0, np.array([1.0]), max_iter=50, allow_divergence=True
+        # x <- 2x + 1 diverges: the exhausted budget is not an error here;
+        # the last iterate comes back unconverged, with the diagnostics a
+        # caller needs to accept it or raise.
+        res, value = fixed_point(
+            lambda x: np.array([2.0, 1.0]) * x + 1.0, np.array([1.0, 0.0]), max_iter=50
         )
         assert not res.converged
+        assert res.iterations == 50
+        assert res.residual > 0
+        assert res.worst_component == 0
+        assert value[0] == 2.0**51 - 1.0  # exactly 50 steps from x0 = 1
 
     def test_inf_is_terminal(self):
-        res = fixed_point(lambda x: x * np.inf, np.array([1.0]))
+        res, value = fixed_point(lambda x: x * np.inf, np.array([1.0]))
         assert res.converged
-        assert math.isinf(res.value[0])
+        assert math.isinf(value[0])
 
     def test_bad_damping_rejected(self):
         with pytest.raises(ValueError):
@@ -166,6 +177,41 @@ class TestOnlineStats:
         s = OnlineStats()
         s.add_many(xs)
         assert s.mean == pytest.approx(float(np.mean(xs)), rel=1e-9, abs=1e-6)
+
+
+#: Two-sided Student-t critical values ``t.ppf(0.5 + c/2, df)``, tabulated
+#: once with SciPy 1.17.1 (the package itself no longer depends on SciPy).
+T_CRITICAL = {
+    1: {0.90: 6.313751514675037, 0.95: 12.706204736174694, 0.99: 63.656741162871526},
+    2: {0.90: 2.9199855803537242, 0.95: 4.302652729749462, 0.99: 9.924843200918287},
+    5: {0.90: 2.0150483733330233, 0.95: 2.5705818356363146, 0.99: 4.032142983555228},
+    10: {0.90: 1.8124611228116756, 0.95: 2.228138851986274, 0.99: 3.16927267261695},
+    30: {0.90: 1.697260886593957, 0.95: 2.0422724563012378, 0.99: 2.7499956535672254},
+    100: {0.90: 1.6602343260853392, 0.95: 1.9839715185235518, 0.99: 2.6258905214380173},
+}
+
+
+class TestStudentTQuantile:
+    @pytest.mark.parametrize("df", sorted(T_CRITICAL))
+    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
+    def test_matches_tabulated_values(self, df, confidence):
+        got = student_t_quantile(0.5 + confidence / 2.0, df)
+        assert got == pytest.approx(T_CRITICAL[df][confidence], rel=1e-10)
+
+    def test_symmetric_about_zero(self):
+        assert student_t_quantile(0.5, 7) == 0.0
+        assert student_t_quantile(0.025, 7) == -student_t_quantile(0.975, 7)
+
+    @pytest.mark.parametrize("p,df", [(0.0, 3), (1.0, 3), (0.9, 0)])
+    def test_rejects_out_of_domain(self, p, df):
+        with pytest.raises(ValueError):
+            student_t_quantile(p, df)
+
+    def test_interval_uses_it(self):
+        xs = [1.0, 2.0, 4.0]
+        mean, half = mean_confidence_interval(xs, 0.95)
+        sem = float(np.std(xs, ddof=1)) / math.sqrt(3)
+        assert half == pytest.approx(T_CRITICAL[2][0.95] * sem, rel=1e-10)
 
 
 class TestConfidenceIntervals:
