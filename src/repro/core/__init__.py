@@ -1,9 +1,11 @@
-"""The paper's analytical wormhole-routing model (S4 in DESIGN.md).
+"""The paper's analytical wormhole-routing model.
 
 * :mod:`repro.core.rates` — channel arrival rates (Eqs. 12-15);
 * :mod:`repro.core.blocking` — the wormhole blocking correction (Eqs. 9-10);
-* :mod:`repro.core.bft_model` — the closed-form butterfly fat-tree solver
-  (Eqs. 16-25);
+* :mod:`repro.core.generalized_model` — the closed-form two-sweep fat-tree
+  solver (Eqs. 16-25) for any ``(c, p)`` fat-tree;
+* :mod:`repro.core.bft_model` — the paper's butterfly fat-tree model, the
+  ``(4, 2)`` instance of that solver;
 * :mod:`repro.core.generic_model` — the general Section-2 recursion on
   arbitrary channel graphs (Eqs. 3, 11), with ready-made fat-tree and
   hypercube instantiations;

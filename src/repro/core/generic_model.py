@@ -20,9 +20,10 @@ On an acyclic stage graph (fat-trees, e-cube hypercubes) a single reverse
 topological sweep is exact; on cyclic graphs the same recursion is iterated
 to a fixed point (:func:`repro.util.fixedpoint.fixed_point_batch`).
 
-:func:`bft_stage_graph` re-derives the paper's butterfly fat-tree equations
-from this general machinery; the test suite verifies it matches the
-closed-form :class:`~repro.core.bft_model.ButterflyFatTreeModel` to machine
+:func:`generalized_fattree_stage_graph` re-derives the paper's fat-tree
+equations from this general machinery (:func:`bft_stage_graph` is its
+``(4, 2)`` instance); the test suite verifies it matches the closed-form
+:class:`~repro.core.generalized_model.GeneralizedFatTreeModel` to machine
 precision.  :func:`hypercube_stage_graph` applies the same machinery to a
 binary hypercube — the "other networks" the paper's abstract refers to.
 
@@ -48,12 +49,12 @@ from ..errors import ConfigurationError, ConvergenceError
 from ..obs import METRICS, trace_span
 from ..queueing.distributions import scv_for_mode_batch
 from ..queueing.mgm import mgm_waiting_time_batch
-from ..topology.properties import bft_average_distance, hypercube_average_distance
+from ..topology.properties import generalized_average_distance, hypercube_average_distance
 from ..util.fixedpoint import fixed_point_batch
-from ..util.validation import check_power_of
+from ..util.validation import check_fattree_shape, check_power_of
 from .batch import as_injection_rates, charged_wait
 from .blocking import blocking_probability_batch
-from .rates import bft_channel_rates, conditional_up_probability, up_probability
+from .rates import climb_probability, generalized_channel_rates
 from .variants import ModelVariant
 
 __all__ = [
@@ -665,60 +666,13 @@ def bft_stage_graph(
 ) -> ChannelGraphModel:
     """Express the butterfly fat-tree in the general stage-graph form.
 
-    Stage names: ``up0 .. up{n-1}`` (``up0`` is the injection channel) and
+    The ``(4, 2)`` instance of :func:`generalized_fattree_stage_graph`:
+    stages ``up0 .. up{n-1}`` (``up0`` is the injection channel) and
     ``down0 .. down{n-1}`` (``down0`` is the ejection channel), indexed by
-    the lower level exactly like :class:`BftSolution`'s arrays.  Solving
-    this graph must reproduce the closed-form model bit-for-bit — that
-    identity is part of the test suite.
+    the lower level exactly like :class:`BftSolution`'s arrays.
     """
-    variant = variant or ModelVariant.paper()
     n = check_power_of("num_processors", num_processors, 4)
-    rate = bft_channel_rates(n, workload.injection_rate)
-
-    def climb(level: int) -> float:
-        if variant.conditional_up_probability:
-            return conditional_up_probability(n, level)
-        return up_probability(n, level)
-
-    stages: list[Stage] = []
-    # Down channels: down0 terminal; down{l} feeds down{l-1} through one of
-    # four interchangeable children.
-    stages.append(Stage("down0", rate_per_server=float(rate[0])))
-    for l in range(1, n):
-        stages.append(
-            Stage(
-                f"down{l}",
-                rate_per_server=float(rate[l]),
-                transitions=(
-                    Transition(f"down{l-1}", 1.0, 0.25),
-                ),
-            )
-        )
-    # Up channels: two-server pairs above the injection level.
-    for u in range(n - 1, -1, -1):
-        p_up = climb(u + 1)
-        p_down = 1.0 - p_up
-        transitions: list[Transition] = []
-        if p_up > 0.0:
-            queue_prob = p_up if variant.multiserver_up else p_up / 2.0
-            transitions.append(Transition(f"up{u+1}", p_up, queue_prob))
-        transitions.append(Transition(f"down{u}", p_down, p_down / 3.0))
-        servers = 2 if (u >= 1 and variant.multiserver_up) else 1
-        stages.append(
-            Stage(
-                f"up{u}",
-                rate_per_server=float(rate[u]),
-                servers=servers,
-                transitions=tuple(transitions),
-            )
-        )
-    return ChannelGraphModel(
-        stages,
-        message_flits=workload.message_flits,
-        entry="up0",
-        average_distance=bft_average_distance(n),
-        variant=variant,
-    )
+    return generalized_fattree_stage_graph(4, 2, n, workload, variant)
 
 
 def generalized_fattree_stage_graph(
@@ -730,36 +684,23 @@ def generalized_fattree_stage_graph(
 ) -> ChannelGraphModel:
     """Express a generalized (c, p) fat-tree in the stage-graph form.
 
-    Generalizes :func:`bft_stage_graph`: up channels pool ``p`` links into
-    one M/G/p queue, the turn-down branch targets one of ``c - 1`` sibling
+    Stage names: ``up0 .. up{n-1}`` and ``down0 .. down{n-1}``, indexed by
+    the lower level of the channel.  Up channels pool ``p`` links into one
+    M/G/p queue, the turn-down branch targets one of ``c - 1`` sibling
     channels, and the down fan-out splits over ``c`` children.  Solving
     this graph reproduces
     :class:`~repro.core.generalized_model.GeneralizedFatTreeModel` to
     machine precision (asserted in the test suite), which certifies that
-    the closed-form generalized sweep is an instance of the paper's
-    Section-2 recursion.
+    the closed-form sweep is an instance of the paper's Section-2
+    recursion.
     """
-    from ..core.generalized_model import (
-        generalized_average_distance,
-        generalized_channel_rates,
-        generalized_up_probability,
-    )
-
     variant = variant or ModelVariant.paper()
-    if not isinstance(children, int) or children < 2:
-        raise ConfigurationError(f"children must be an integer >= 2, got {children!r}")
-    if not isinstance(parents, int) or parents < 1:
-        raise ConfigurationError(f"parents must be an integer >= 1, got {parents!r}")
-    if not isinstance(levels, int) or levels < 1:
-        raise ConfigurationError(f"levels must be an integer >= 1, got {levels!r}")
+    check_fattree_shape(children, parents, levels)
     c, p, n = children, parents, levels
     rate = generalized_channel_rates(c, p, n, workload.injection_rate)
 
-    def climb(level: int) -> float:
-        if variant.conditional_up_probability:
-            return (c**n - c**level) / (c**n - c ** (level - 1))
-        return generalized_up_probability(c, n, level)
-
+    # Down channels: down0 terminal; down{l} feeds down{l-1} through one of
+    # c interchangeable children.
     stages: list[Stage] = [Stage("down0", rate_per_server=float(rate[0]))]
     for l in range(1, n):
         stages.append(
@@ -769,8 +710,9 @@ def generalized_fattree_stage_graph(
                 transitions=(Transition(f"down{l-1}", 1.0, 1.0 / c),),
             )
         )
+    # Up channels: p-server bundles above the injection level.
     for u in range(n - 1, -1, -1):
-        p_up = climb(u + 1)
+        p_up = climb_probability(c, n, u + 1, variant.conditional_up_probability)
         p_down = 1.0 - p_up
         transitions: list[Transition] = []
         if p_up > 0.0:

@@ -17,6 +17,11 @@ The exact *conditional* probability that a message already at level ``l``
 ``(4^n - 4^l) / (4^n - 4^{l-1})``; the paper approximates it by the
 unconditional ``P^_l``, and both are provided (the choice is a
 :class:`~repro.core.variants.ModelVariant` switch).
+
+Every formula is written once for a ``(c, p)`` fat-tree (``c`` children and
+``p`` parents per switch, so ``4`` and ``2`` above become ``c`` and
+``c / p``); the paper's 4-2 butterfly fat-tree helpers are its ``(4, 2)``
+specializations.
 """
 
 from __future__ import annotations
@@ -24,8 +29,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..util.validation import check_fattree_shape
 
 __all__ = [
+    "climb_probability",
+    "generalized_up_probability",
+    "generalized_channel_rates",
+    "generalized_channel_rates_batch",
     "up_probability",
     "down_probability",
     "conditional_up_probability",
@@ -42,6 +52,73 @@ def _check_levels(levels: int) -> None:
         raise ConfigurationError(f"levels must be a positive integer, got {levels!r}")
 
 
+def _up_probabilities(children: int, levels: int) -> np.ndarray:
+    """``P^_l`` for ``l = 0 .. levels-1`` as one float array (Eq. 12)."""
+    ls = np.arange(levels)
+    c, n = float(children), levels
+    return (c**n - c**ls) / (c**n - 1.0)
+
+
+def climb_probability(children: int, levels: int, level: int, conditional: bool) -> float:
+    """Probability that a message at switch ``level`` keeps climbing.
+
+    Unconditional (Eq. 12): ``P^_l = (c^n - c^l) / (c^n - 1)``, the share of
+    destinations outside a level-``l`` leaf block, defined for
+    ``0 <= level <= levels`` (``P^_0 == 1``, ``P^_levels == 0``).
+
+    Conditional: a message that has already climbed to ``level`` has left
+    its level-``(level-1)`` block, which removes ``c^{l-1}`` candidate
+    destinations from the denominator: ``(c^n - c^l) / (c^n - c^{l-1})``.
+    Requires ``level >= 1``.
+    """
+    check_fattree_shape(children, 1, levels)  # no parent count enters P^
+    lowest = 1 if conditional else 0
+    if not (lowest <= level <= levels):
+        raise ConfigurationError(f"level must be in [{lowest}, {levels}], got {level!r}")
+    c, n = children, levels
+    if conditional:
+        return (c**n - c**level) / (c**n - c ** (level - 1))
+    return (c**n - c**level) / (c**n - 1)
+
+
+def generalized_up_probability(children: int, levels: int, level: int) -> float:
+    """``P^_l`` for block radix ``c``: ``(c^n - c^l) / (c^n - 1)``."""
+    return climb_probability(children, levels, level, False)
+
+
+def generalized_channel_rates_batch(
+    children: int, parents: int, levels: int, injection_rates: np.ndarray
+) -> np.ndarray:
+    """Per-link rates ``lambda_{l,l+1} = lambda_0 P^_l (c/p)^l`` over a load grid.
+
+    Returns shape ``(levels, K)`` for ``K`` injection rates: row ``l``
+    holds the rate of one up link from level ``l`` to ``l+1`` (by Eq. 15
+    also one down link from ``l+1`` to ``l``); row 0 is ``lambda_0``
+    itself.  ``N * P^_l * lambda_0`` messages spread over the
+    ``N * (p/c)^l`` links of level ``l``.
+    """
+    check_fattree_shape(children, parents, levels)
+    inj = np.asarray(injection_rates, dtype=float)
+    if inj.ndim != 1:
+        raise ConfigurationError("injection_rates must be a 1-D array")
+    if np.any(inj < 0):
+        raise ConfigurationError("injection_rates must be >= 0")
+    probs = _up_probabilities(children, levels)
+    scale = (float(children) / parents) ** np.arange(levels)
+    return (inj[np.newaxis, :] * probs[:, np.newaxis]) * scale[:, np.newaxis]
+
+
+def generalized_channel_rates(
+    children: int, parents: int, levels: int, injection_rate: float
+) -> np.ndarray:
+    """Per-link rates at one injection rate: a one-point batch, ``l = 0..n-1``."""
+    if injection_rate < 0:
+        raise ConfigurationError(f"injection_rate must be >= 0, got {injection_rate!r}")
+    return generalized_channel_rates_batch(
+        children, parents, levels, np.array([injection_rate])
+    )[:, 0]
+
+
 def up_probability(levels: int, level: int) -> float:
     """``P^_l`` of Eq. 12: probability of rising above ``level``.
 
@@ -49,10 +126,7 @@ def up_probability(levels: int, level: int) -> float:
     enters the network) and ``P^_levels == 0`` (nothing rises above the
     root level).
     """
-    _check_levels(levels)
-    if not (0 <= level <= levels):
-        raise ConfigurationError(f"level must be in [0, {levels}], got {level!r}")
-    return (4**levels - 4**level) / (4**levels - 1)
+    return climb_probability(4, levels, level, False)
 
 
 def down_probability(levels: int, level: int) -> float:
@@ -63,14 +137,9 @@ def down_probability(levels: int, level: int) -> float:
 def conditional_up_probability(levels: int, level: int) -> float:
     """Exact P(rise above ``level`` | already climbed to ``level``).
 
-    Conditioning on the message having left its level-``(level-1)`` subtree
-    removes ``4^{level-1}`` candidate destinations from the denominator:
-    ``(4^n - 4^l) / (4^n - 4^{l-1})``.  Requires ``level >= 1``.
+    ``(4^n - 4^l) / (4^n - 4^{l-1})``; requires ``level >= 1``.
     """
-    _check_levels(levels)
-    if not (1 <= level <= levels):
-        raise ConfigurationError(f"level must be in [1, {levels}], got {level!r}")
-    return (4**levels - 4**level) / (4**levels - 4 ** (level - 1))
+    return climb_probability(4, levels, level, True)
 
 
 def bft_channel_rates(levels: int, injection_rate: float) -> np.ndarray:
@@ -81,31 +150,16 @@ def bft_channel_rates(levels: int, injection_rate: float) -> np.ndarray:
     from ``l+1`` to ``l``.  Index 0 is the injection-channel rate
     ``lambda_0`` itself.
     """
-    _check_levels(levels)
-    if injection_rate < 0:
-        raise ConfigurationError(f"injection_rate must be >= 0, got {injection_rate!r}")
-    ls = np.arange(levels)
-    probs = (4.0**levels - 4.0**ls) / (4.0**levels - 1.0)
-    return injection_rate * probs * 2.0**ls
+    return generalized_channel_rates(4, 2, levels, injection_rate)
 
 
 def bft_channel_rates_batch(levels: int, injection_rates: np.ndarray) -> np.ndarray:
     """Per-link rates for a whole vector of injection rates at once (Eq. 14).
 
-    Returns shape ``(levels, K)`` for ``K`` injection rates: row ``l`` holds
-    ``lambda_{l,l+1}`` across the load grid.  Column ``k`` is elementwise
-    identical to ``bft_channel_rates(levels, injection_rates[k])`` (same
-    operation order, so batch and scalar sweeps agree bit-for-bit).
+    Returns shape ``(levels, K)``; column ``k`` is elementwise identical to
+    ``bft_channel_rates(levels, injection_rates[k])``.
     """
-    _check_levels(levels)
-    inj = np.asarray(injection_rates, dtype=float)
-    if inj.ndim != 1:
-        raise ConfigurationError("injection_rates must be a 1-D array")
-    if np.any(inj < 0):
-        raise ConfigurationError("injection_rates must be >= 0")
-    ls = np.arange(levels)
-    probs = (4.0**levels - 4.0**ls) / (4.0**levels - 1.0)
-    return (inj[np.newaxis, :] * probs[:, np.newaxis]) * (2.0**ls)[:, np.newaxis]
+    return generalized_channel_rates_batch(4, 2, levels, injection_rates)
 
 
 def bft_matrix_up_crossings(levels: int, matrix: np.ndarray) -> np.ndarray:
@@ -166,6 +220,4 @@ def bft_total_up_crossings(levels: int, injection_rate: float) -> np.ndarray:
     level reproduces :func:`bft_channel_rates`.
     """
     _check_levels(levels)
-    ls = np.arange(levels)
-    probs = (4.0**levels - 4.0**ls) / (4.0**levels - 1.0)
-    return probs * (4.0**levels) * injection_rate
+    return _up_probabilities(4, levels) * (4.0**levels) * injection_rate

@@ -1,4 +1,4 @@
-"""Experiment harness (S8 in DESIGN.md) — one module per paper artifact.
+"""Experiment harness — one module per paper artifact.
 
 * :mod:`repro.experiments.fig3` — Figure 3 (latency vs load, N=1024);
 * :mod:`repro.experiments.throughput_table` — saturation throughput table

@@ -1,7 +1,7 @@
 """Shared experiment infrastructure.
 
 Every experiment in this package regenerates one artifact of the paper's
-evaluation (see the per-experiment index in DESIGN.md) and supports two
+evaluation (indexed in :mod:`repro.experiments`) and supports two
 fidelity modes:
 
 * **quick** (default) — small measurement windows and reduced grids, sized

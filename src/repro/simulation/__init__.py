@@ -1,4 +1,4 @@
-"""Wormhole-routing simulators (S5/S6 in DESIGN.md).
+"""Wormhole-routing simulators.
 
 * :mod:`repro.simulation.wormhole_sim` — event-driven worm-level simulator
   (primary validation engine; exact under the long-worm assumption);

@@ -1,7 +1,10 @@
-"""Network topology substrate (S2/S3 in DESIGN.md).
+"""Network topology substrate.
 
+* :mod:`repro.topology.generalized_fattree` — the ``(c, p)`` fat-tree
+  family (``c`` child and ``p`` parent ports per switch) with adaptive
+  up/down routing; the one fat-tree builder;
 * :mod:`repro.topology.butterfly_fattree` — the paper's butterfly fat-tree
-  (Figure 2) with adaptive up/down routing;
+  (Figure 2), the family's ``(4, 2)`` instance;
 * :mod:`repro.topology.hypercube` — binary hypercube with e-cube routing
   (hosts the Draper–Ghosh baseline);
 * :mod:`repro.topology.kary_ncube` — unidirectional k-ary n-cube (hosts the
@@ -21,6 +24,7 @@ from .properties import (
     average_distance_by_enumeration,
     bft_average_distance,
     bft_distance_distribution,
+    generalized_average_distance,
     hypercube_average_distance,
     kary_ncube_average_distance,
     to_networkx,
@@ -41,6 +45,7 @@ __all__ = [
     "average_distance_by_enumeration",
     "bft_average_distance",
     "bft_distance_distribution",
+    "generalized_average_distance",
     "hypercube_average_distance",
     "kary_ncube_average_distance",
     "to_networkx",

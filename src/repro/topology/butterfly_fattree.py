@@ -14,6 +14,11 @@ Wiring (verbatim from the paper):
   ``S(l+1, (a div 2**(l+1)) * 2**l + (a + 2**(l-1)) mod 2**l)``;
 * where ``i = (a mod 2**(l+1)) div 2**(l-1)``.
 
+These are the ``(c, p) = (4, 2)`` case of the generalized fat-tree's
+formulas, so :class:`ButterflyFatTree` is
+:class:`~repro.topology.generalized_fattree.GeneralizedFatTree` with those
+parameters; wiring, structural verification and routing live there.
+
 Every switch at level ``l`` reaches exactly the block of ``4**l`` leaves
 ``[g * 4**l, (g+1) * 4**l)`` with ``g = a div 2**(l-1)`` through its down
 ports (verified structurally at construction time); a message goes up as
@@ -24,11 +29,8 @@ path.  Shortest paths therefore have length ``2 * nca_level(src, dst)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..errors import ConfigurationError, RoutingError, TopologyError
 from ..util.validation import check_power_of
-from .base import DOWN, UP, LinkClass, RouteOptions
+from .generalized_fattree import GeneralizedFatTree, generalized_nca_level
 
 __all__ = ["ButterflyFatTree", "bft_nca_level"]
 
@@ -40,36 +42,10 @@ def bft_nca_level(src: int, dst: int) -> int:
     message from ``src`` to ``dst`` climbs exactly to this level, so the
     shortest path length is ``2 * bft_nca_level(src, dst)`` links.
     """
-    if src < 0 or dst < 0:
-        raise ConfigurationError("leaf addresses must be non-negative")
-    level = 0
-    a, b = src, dst
-    while a != b:
-        a //= 4
-        b //= 4
-        level += 1
-    return level
+    return generalized_nca_level(src, dst, 4)
 
 
-@dataclass
-class _Switch:
-    """Internal per-switch routing state."""
-
-    level: int
-    address: int
-    node_id: int
-    block_lo: int  # first leaf reachable downward
-    block_hi: int  # one past the last leaf reachable downward
-    # down_links[c] = link index leaving child port c (toward level-1 nodes)
-    down_links: list[int] = field(default_factory=lambda: [-1, -1, -1, -1])
-    down_targets: list[int] = field(default_factory=lambda: [-1, -1, -1, -1])
-    # child port covering each quarter of [block_lo, block_hi)
-    subblock_port: list[int] = field(default_factory=lambda: [-1, -1, -1, -1])
-    up_links: list[int] = field(default_factory=list)
-    up_targets: list[int] = field(default_factory=list)
-
-
-class ButterflyFatTree:
+class ButterflyFatTree(GeneralizedFatTree):
     """The butterfly fat-tree network with ``N = 4**n`` processors.
 
     Implements :class:`repro.topology.base.SimTopology`.  Construction cost
@@ -82,219 +58,8 @@ class ButterflyFatTree:
     """
 
     def __init__(self, num_processors: int) -> None:
-        self.num_processors = num_processors
-        self.levels = check_power_of("num_processors", num_processors, 4)
-        n = self.levels
-
-        # --- switch enumeration -------------------------------------------------
-        self._level_offset: list[int] = [0] * (n + 2)
-        self._switches_at: list[int] = [0] * (n + 1)
-        node_id = num_processors
-        self._switches: dict[int, _Switch] = {}
-        self._level_base_node: list[int] = [0] * (n + 1)
-        for level in range(1, n + 1):
-            count = num_processors // (2 ** (level + 1))
-            self._switches_at[level] = count
-            self._level_base_node[level] = node_id
-            for a in range(count):
-                g = a // (2 ** (level - 1))
-                lo = g * 4**level
-                self._switches[node_id] = _Switch(
-                    level=level,
-                    address=a,
-                    node_id=node_id,
-                    block_lo=lo,
-                    block_hi=lo + 4**level,
-                )
-                node_id += 1
-        self.num_nodes = node_id
-
-        # --- link construction --------------------------------------------------
-        link_src: list[int] = []
-        link_dst: list[int] = []
-        link_cls: list[LinkClass] = []
-
-        def add_link(src: int, dst: int, cls: LinkClass) -> int:
-            link_src.append(src)
-            link_dst.append(dst)
-            link_cls.append(cls)
-            return len(link_src) - 1
-
-        # PE <-> level-1 switch links (channels <0,1> and <1,0>).
-        self._inject_link: list[int] = [-1] * num_processors
-        self._inject_target: list[int] = [-1] * num_processors
-        for p in range(num_processors):
-            sw = self._switch_node(1, p // 4)
-            child = p % 4
-            up = add_link(p, sw, LinkClass(UP, 0))
-            down = add_link(sw, p, LinkClass(DOWN, 0))
-            self._inject_link[p] = up
-            self._inject_target[p] = sw
-            s = self._switches[sw]
-            if s.down_links[child] != -1:
-                raise TopologyError(
-                    f"child port {child} of switch (1,{p // 4}) wired twice"
-                )
-            s.down_links[child] = down
-            s.down_targets[child] = p
-
-        # Inter-switch links per the paper's parent formulas.
-        for level in range(1, n):
-            for a in range(self._switches_at[level]):
-                child_port = (a % 2 ** (level + 1)) // 2 ** (level - 1)
-                lower = self._switch_node(level, a)
-                base = (a // 2 ** (level + 1)) * 2**level
-                for parent_idx in (0, 1):
-                    if parent_idx == 0:
-                        pa = base + a % 2**level
-                    else:
-                        pa = base + (a + 2 ** (level - 1)) % 2**level
-                    upper = self._switch_node(level + 1, pa)
-                    up = add_link(lower, upper, LinkClass(UP, level))
-                    down = add_link(upper, lower, LinkClass(DOWN, level))
-                    self._switches[lower].up_links.append(up)
-                    self._switches[lower].up_targets.append(upper)
-                    ps = self._switches[upper]
-                    if ps.down_links[child_port] != -1:
-                        raise TopologyError(
-                            f"child port {child_port} of switch "
-                            f"({level + 1},{pa}) wired twice"
-                        )
-                    ps.down_links[child_port] = down
-                    ps.down_targets[child_port] = lower
-
-        self.link_src = link_src
-        self.link_dst = link_dst
-        self.link_class = link_cls
-        self.num_links = len(link_src)
-
-        self._build_subblock_ports()
-        self._build_groups()
-
-    # --- construction helpers ---------------------------------------------------
-
-    def _switch_node(self, level: int, address: int) -> int:
-        if not (1 <= level <= self.levels):
-            raise TopologyError(f"no switch level {level}")
-        if not (0 <= address < self._switches_at[level]):
-            raise TopologyError(f"switch address {address} out of range at level {level}")
-        return self._level_base_node[level] + address
-
-    def _build_subblock_ports(self) -> None:
-        """Map each quarter of a switch's leaf block to the child port serving it.
-
-        Verifies the structural claim that the four children of ``S(l, a)``
-        cover exactly the four quarters of its block — the property that
-        makes the down path unique.
-        """
-        for s in self._switches.values():
-            quarter = (s.block_hi - s.block_lo) // 4
-            for port in range(4):
-                target = s.down_targets[port]
-                if target == -1:
-                    raise TopologyError(
-                        f"switch ({s.level},{s.address}) child port {port} unwired"
-                    )
-                if s.level == 1:
-                    lo = target
-                else:
-                    child = self._switches[target]
-                    lo = child.block_lo
-                    if child.block_hi - child.block_lo != quarter:
-                        raise TopologyError(
-                            f"switch ({s.level},{s.address}) child {port} covers "
-                            "a block of the wrong size"
-                        )
-                if (lo - s.block_lo) % quarter != 0:
-                    raise TopologyError(
-                        f"switch ({s.level},{s.address}) child {port} block misaligned"
-                    )
-                idx = (lo - s.block_lo) // quarter
-                if not (0 <= idx < 4) or s.subblock_port[idx] != -1:
-                    raise TopologyError(
-                        f"switch ({s.level},{s.address}) children do not "
-                        "partition its leaf block"
-                    )
-                s.subblock_port[idx] = port
-
-    def _build_groups(self) -> None:
-        """Form resource groups: up-link pairs share a group, the rest are singletons."""
-        group_of = [-1] * self.num_links
-        groups: list[list[int]] = []
-        for s in self._switches.values():
-            if s.up_links:
-                if len(s.up_links) != 2:
-                    raise TopologyError(
-                        f"switch ({s.level},{s.address}) has {len(s.up_links)} up links"
-                    )
-                groups.append(list(s.up_links))
-                for e in s.up_links:
-                    group_of[e] = len(groups) - 1
-        for e in range(self.num_links):
-            if group_of[e] == -1:
-                groups.append([e])
-                group_of[e] = len(groups) - 1
-        self.groups = groups
-        self.link_group = group_of
-
-    # --- SimTopology API ----------------------------------------------------------
-
-    def injection_options(self, src: int) -> RouteOptions:
-        """The PE's injection channel <0,1> (a single-server resource)."""
-        if not (0 <= src < self.num_processors):
-            raise RoutingError(f"source PE {src} out of range")
-        return RouteOptions(
-            links=(self._inject_link[src],),
-            next_nodes=(self._inject_target[src],),
-        )
-
-    def route_options(self, node: int, dst: int) -> RouteOptions:
-        """Adaptive shortest-path routing per Section 3.1.
-
-        Going up, both parent links are offered (the simulator picks a free
-        one at random or queues FCFS on the pair); going down, the unique
-        child port covering the destination's quarter is offered.
-        """
-        if not (0 <= dst < self.num_processors):
-            raise RoutingError(f"destination PE {dst} out of range")
-        s = self._switches.get(node)
-        if s is None:
-            raise RoutingError(f"node {node} is not a switch")
-        if s.block_lo <= dst < s.block_hi:
-            quarter = (s.block_hi - s.block_lo) // 4
-            port = s.subblock_port[(dst - s.block_lo) // quarter]
-            return RouteOptions(
-                links=(s.down_links[port],),
-                next_nodes=(s.down_targets[port],),
-            )
-        if not s.up_links:
-            raise RoutingError(
-                f"switch ({s.level},{s.address}) has no up links but {dst} "
-                "is outside its block"
-            )
-        return RouteOptions(links=tuple(s.up_links), next_nodes=tuple(s.up_targets))
-
-    def path_length(self, src: int, dst: int) -> int:
-        """Shortest-path link count: ``2 * nca_level`` (0 when src == dst)."""
-        if src == dst:
-            return 0
-        return 2 * bft_nca_level(src, dst)
-
-    # --- introspection (used by tests, properties, and experiments) ---------------
-
-    def switch(self, level: int, address: int) -> _Switch:
-        """Return the internal record of switch ``(level, address)`` (read-only use)."""
-        return self._switches[self._switch_node(level, address)]
-
-    def switches_at_level(self, level: int) -> int:
-        """Number of switches at ``level`` (``N / 2**(level+1)``)."""
-        if not (1 <= level <= self.levels):
-            raise ConfigurationError(f"level must be in [1, {self.levels}]")
-        return self._switches_at[level]
-
-    def links_in_class(self, cls: LinkClass) -> list[int]:
-        """All link indices belonging to channel class ``cls``."""
-        return [e for e, c in enumerate(self.link_class) if c == cls]
+        levels = check_power_of("num_processors", num_processors, 4)
+        super().__init__(4, 2, levels)
 
     def describe(self) -> str:
         """One-line human-readable summary."""

@@ -1,12 +1,13 @@
-"""Generalized (c-child, p-parent) butterfly fat-trees.
+"""Generalized (c-child, p-parent) butterfly fat-trees: the one fat-tree builder.
 
 The paper's butterfly fat-tree is the ``(c, p) = (4, 2)`` member of a
 family: every switch has ``c`` child ports and ``p`` parent ports, levels
 hold ``c^(n-l) * p^(l-1)`` switches, and a worm heading up chooses among
 ``p`` redundant parent links.  The paper's conclusion anticipates exactly
 this generalization ("the framework can be extended for networks that
-require queuing models with more than two servers"); this module provides
-the substrate for it.
+require queuing models with more than two servers").
+:class:`~repro.topology.butterfly_fattree.ButterflyFatTree` is the
+``(4, 2)`` instance of :class:`GeneralizedFatTree`.
 
 Wiring generalizes the paper's formulas (Section 3.1) by replacing the
 radix 4 with ``c`` and the redundancy 2 with ``p``:
@@ -18,9 +19,11 @@ radix 4 with ``c`` and the redundancy 2 with ``p``:
 * ``i = (a mod (c * p**(l-1))) div p**(l-1)``.
 
 Switch ``S(l, a)`` covers the leaf block of size ``c**l`` with index
-``a div p**(l-1)``; the construction *verifies* structurally (as the 4-2
-tree does) that each switch's children partition its block, so shortest
-paths are ``2 * nca`` links and any of the ``p`` up-links is equally good.
+``a div p**(l-1)``.  The construction *verifies* the structure: each
+switch's children cover equal sub-blocks that partition its block, every
+parent's block contains it, and every non-root switch has exactly ``p``
+up links.  So shortest paths are ``2 * nca`` links, the down path is
+unique, and any of the ``p`` up-links is equally good.
 """
 
 from __future__ import annotations
@@ -28,13 +31,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError, RoutingError, TopologyError
+from ..util.validation import check_fattree_shape
 from .base import DOWN, UP, LinkClass, RouteOptions
 
 __all__ = ["GeneralizedFatTree", "generalized_nca_level"]
 
 
 def generalized_nca_level(src: int, dst: int, children: int) -> int:
-    """Nearest-common-ancestor level for radix-``children`` leaf blocks."""
+    """Level of the nearest common ancestor of leaves ``src`` and ``dst``.
+
+    This is the smallest ``l`` with ``src div c**l == dst div c**l``; a
+    message from ``src`` to ``dst`` climbs exactly to this level, so the
+    shortest path length is ``2 * generalized_nca_level(src, dst, c)`` links.
+    """
     if src < 0 or dst < 0:
         raise ConfigurationError("leaf addresses must be non-negative")
     if children < 2:
@@ -50,13 +59,17 @@ def generalized_nca_level(src: int, dst: int, children: int) -> int:
 
 @dataclass
 class _Switch:
+    """Internal per-switch routing state."""
+
     level: int
     address: int
     node_id: int
-    block_lo: int
-    block_hi: int
+    block_lo: int  # first leaf reachable downward
+    block_hi: int  # one past the last leaf reachable downward
+    # down_links[i] = link index leaving child port i (toward level-1 nodes)
     down_links: list[int] = field(default_factory=list)
     down_targets: list[int] = field(default_factory=list)
+    # child port covering each c-th of [block_lo, block_hi)
     subblock_port: list[int] = field(default_factory=list)
     up_links: list[int] = field(default_factory=list)
     up_targets: list[int] = field(default_factory=list)
@@ -65,9 +78,8 @@ class _Switch:
 class GeneralizedFatTree:
     """A ``(children, parents)`` butterfly fat-tree with ``children**levels`` PEs.
 
-    Implements the SimTopology protocol; ``(4, 2)`` reproduces the paper's
-    network exactly (verified in the test suite against
-    :class:`~repro.topology.butterfly_fattree.ButterflyFatTree`).
+    Implements :class:`repro.topology.base.SimTopology`.  Construction cost
+    is ``O(N)``; routing queries are ``O(1)`` after construction.
 
     Parameters
     ----------
@@ -80,12 +92,7 @@ class GeneralizedFatTree:
     """
 
     def __init__(self, children: int, parents: int, levels: int) -> None:
-        if not isinstance(children, int) or children < 2:
-            raise ConfigurationError(f"children must be an integer >= 2, got {children!r}")
-        if not isinstance(parents, int) or parents < 1:
-            raise ConfigurationError(f"parents must be an integer >= 1, got {parents!r}")
-        if not isinstance(levels, int) or levels < 1:
-            raise ConfigurationError(f"levels must be an integer >= 1, got {levels!r}")
+        check_fattree_shape(children, parents, levels)
         self.children = children
         self.parents = parents
         self.levels = levels
@@ -127,6 +134,7 @@ class GeneralizedFatTree:
             link_cls.append(cls)
             return len(link_src) - 1
 
+        # PE <-> level-1 switch links (channels <0,1> and <1,0>).
         self._inject_link = [-1] * self.num_processors
         self._inject_target = [-1] * self.num_processors
         for pe in range(self.num_processors):
@@ -142,6 +150,7 @@ class GeneralizedFatTree:
             s.down_links[child] = down
             s.down_targets[child] = pe
 
+        # Inter-switch links per the (generalized) parent formulas.
         for level in range(1, n):
             per_block = p ** (level - 1)
             merge = c * per_block  # level-l switches per level-(l+1) block
@@ -181,6 +190,13 @@ class GeneralizedFatTree:
         return self._level_base_node[level] + address
 
     def _verify_and_index(self) -> None:
+        """Map each c-th of a switch's leaf block to the child port serving it.
+
+        Verifies the structural claims that make the down path unique and
+        the up links interchangeable: the ``c`` children of ``S(l, a)``
+        cover equal sub-blocks that partition its block, and every parent
+        of ``S(l, a)`` covers the same block containing it.
+        """
         c = self.children
         for s in self._switches.values():
             quarter = (s.block_hi - s.block_lo) // c
@@ -190,7 +206,16 @@ class GeneralizedFatTree:
                     raise TopologyError(
                         f"switch ({s.level},{s.address}) child port {port} unwired"
                     )
-                lo = target if s.level == 1 else self._switches[target].block_lo
+                if s.level == 1:
+                    lo = target
+                else:
+                    child = self._switches[target]
+                    lo = child.block_lo
+                    if child.block_hi - child.block_lo != quarter:
+                        raise TopologyError(
+                            f"switch ({s.level},{s.address}) child {port} covers "
+                            "a block of the wrong size"
+                        )
                 if (lo - s.block_lo) % quarter != 0:
                     raise TopologyError(
                         f"switch ({s.level},{s.address}) child {port} block misaligned"
@@ -217,10 +242,16 @@ class GeneralizedFatTree:
                 )
 
     def _build_groups(self) -> None:
+        """Form resource groups: each switch's ``p`` up links share a group,
+        the rest are singletons."""
         group_of = [-1] * self.num_links
         groups: list[list[int]] = []
         for s in self._switches.values():
             if s.up_links:
+                if len(s.up_links) != self.parents:
+                    raise TopologyError(
+                        f"switch ({s.level},{s.address}) has {len(s.up_links)} up links"
+                    )
                 groups.append(list(s.up_links))
                 for e in s.up_links:
                     group_of[e] = len(groups) - 1
@@ -242,7 +273,12 @@ class GeneralizedFatTree:
         )
 
     def route_options(self, node: int, dst: int) -> RouteOptions:
-        """Adaptive up (any of ``p`` parents) / deterministic down routing."""
+        """Adaptive shortest-path routing per Section 3.1.
+
+        Going up, all ``p`` parent links are offered (the simulator picks a
+        free one at random or queues FCFS on the bundle); going down, the
+        unique child port covering the destination's sub-block is offered.
+        """
         if not (0 <= dst < self.num_processors):
             raise RoutingError(f"destination PE {dst} out of range")
         s = self._switches.get(node)
@@ -265,6 +301,12 @@ class GeneralizedFatTree:
         if src == dst:
             return 0
         return 2 * generalized_nca_level(src, dst, self.children)
+
+    # --- introspection (used by tests, properties, and experiments) ---------------
+
+    def switch(self, level: int, address: int) -> _Switch:
+        """Return the internal record of switch ``(level, address)`` (read-only use)."""
+        return self._switches[self._switch_node(level, address)]
 
     def switches_at_level(self, level: int) -> int:
         """Switch population ``c^(n-l) * p^(l-1)`` at ``level``."""

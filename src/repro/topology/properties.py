@@ -3,22 +3,25 @@
 The analytical model needs the average message distance ``D_bar`` (Eq. 2 /
 Eq. 25) and the destination-distance distribution under uniform traffic.
 These are computed in closed form here, and cross-checked against explicit
-path enumeration (via networkx on small instances) in the test suite.
+path enumeration (via networkx on small instances) in the test suite;
+networkx is imported only by those enumeration helpers.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
 from .base import SimTopology
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 __all__ = [
     "bft_distance_distribution",
     "bft_average_distance",
+    "generalized_average_distance",
     "hypercube_average_distance",
     "kary_ncube_average_distance",
     "to_networkx",
@@ -44,17 +47,27 @@ def bft_distance_distribution(levels: int) -> list[float]:
     return dist
 
 
-def bft_average_distance(levels: int) -> float:
-    """Average shortest-path link count ``D_bar`` of the butterfly fat-tree.
+def generalized_average_distance(children: int, levels: int) -> float:
+    """Average shortest-path link count ``D_bar`` of a radix-``c`` fat-tree.
 
-    ``D_bar = sum_l 2*l * P(NCA at level l)``; evaluated in exact rational
-    arithmetic before converting to float.
+    A uniform destination other than the source shares its level-``l``
+    block but not its level-``(l-1)`` block with probability
+    ``(c^l - c^(l-1)) / (c^n - 1)``, and then lies ``2*l`` links away, so
+    ``D_bar = sum_l 2*l * (c^l - c^(l-1)) / (c^n - 1)``; evaluated in exact
+    rational arithmetic before converting to float.
     """
-    denom = 4**levels - 1
+    if children < 2 or levels < 1:
+        raise ConfigurationError("children must be >= 2 and levels >= 1")
+    denom = children**levels - 1
     total = Fraction(0)
     for l in range(1, levels + 1):
-        total += Fraction(2 * l * (4**l - 4 ** (l - 1)), denom)
+        total += Fraction(2 * l * (children**l - children ** (l - 1)), denom)
     return float(total)
+
+
+def bft_average_distance(levels: int) -> float:
+    """Average shortest-path link count ``D_bar`` of the butterfly fat-tree."""
+    return generalized_average_distance(4, levels)
 
 
 def hypercube_average_distance(dimension: int) -> float:
@@ -90,6 +103,8 @@ def to_networkx(topology: SimTopology) -> nx.DiGraph:
     edge; the graph is intended for reachability/distance cross-checks, not
     for capacity analysis.
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     g.add_nodes_from(range(getattr(topology, "num_nodes", topology.num_processors)))
     for e in range(topology.num_links):
@@ -103,6 +118,8 @@ def average_distance_by_enumeration(topology: SimTopology) -> float:
     Exponential in nothing but quadratic in N — use on small instances only
     (the test suite limits itself to a few hundred PEs).
     """
+    import networkx as nx
+
     g = to_networkx(topology)
     n = topology.num_processors
     total = 0

@@ -16,6 +16,7 @@ __all__ = [
     "check_non_negative",
     "check_probability",
     "check_power_of",
+    "check_fattree_shape",
     "exact_exponent",
     "is_zero",
 ]
@@ -71,6 +72,17 @@ def check_power_of(name: str, value: int, base: int) -> int:
         v //= base
         e += 1
     return e
+
+
+def check_fattree_shape(children: int, parents: int, levels: int) -> None:
+    """Ensure ``(children, parents, levels)`` describe a generalized fat-tree.
+
+    Integers with ``children >= 2``, ``parents >= 1`` and ``levels >= 1``.
+    """
+    shape = (("children", children, 2), ("parents", parents, 1), ("levels", levels, 1))
+    for name, value, low in shape:
+        if not isinstance(value, int) or value < low:
+            raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def exact_exponent(base: int, value: int) -> int | None:

@@ -54,20 +54,30 @@ class TestExports:
         assert not hasattr(repro, "saturation_injection_rate")
         assert callable(saturation_injection_rate)
 
-    def test_import_needs_no_scipy(self):
+    @staticmethod
+    def _loaded_by_import(module: str) -> bool:
+        """Whether a fresh ``import repro`` loads ``module``."""
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
         )
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, repro; print('scipy' in sys.modules)"],
+            [sys.executable, "-c", f"import sys, repro; print({module!r} in sys.modules)"],
             capture_output=True,
             text=True,
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip() == "True"
+
+    def test_import_needs_no_scipy(self):
+        assert not self._loaded_by_import("scipy")
+
+    def test_import_loads_no_networkx(self):
+        # networkx serves only the path-enumeration cross-checks in
+        # topology/properties.py, which import it on first use.
+        assert not self._loaded_by_import("networkx")
 
     def test_subpackages_importable(self):
         import repro.baselines

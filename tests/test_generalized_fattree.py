@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    ButterflyFatTree,
-    ButterflyFatTreeModel,
     ConfigurationError,
     GeneralizedFatTree,
     GeneralizedFatTreeModel,
@@ -22,28 +20,9 @@ from repro import (
 from repro.core import saturation_injection_rate
 from repro.core.generalized_model import (
     generalized_average_distance,
-    generalized_channel_rates,
     generalized_up_probability,
 )
-from repro.topology.generalized_fattree import generalized_nca_level
 from repro.topology.properties import average_distance_by_enumeration
-
-
-class TestTopologyReducesToPaper:
-    @pytest.mark.parametrize("levels", [1, 2, 3])
-    def test_wiring_identical_to_bft(self, levels):
-        g = GeneralizedFatTree(4, 2, levels)
-        b = ButterflyFatTree(4**levels)
-        assert g.link_src == b.link_src
-        assert g.link_dst == b.link_dst
-        assert g.link_class == b.link_class
-        assert [sorted(x) for x in g.groups] == [sorted(x) for x in b.groups]
-
-    def test_nca_matches(self):
-        from repro import bft_nca_level
-
-        for a, b in [(0, 63), (5, 7), (16, 47)]:
-            assert generalized_nca_level(a, b, 4) == bft_nca_level(a, b)
 
 
 class TestTopologyFamily:
@@ -103,39 +82,6 @@ class TestTopologyFamily:
 
     def test_describe(self):
         assert "c=4, p=3" in GeneralizedFatTree(4, 3, 2).describe()
-
-
-class TestModelReducesToPaper:
-    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
-    @pytest.mark.parametrize("load", [0.01, 0.05])
-    def test_latency_identical(self, levels, load):
-        wl = Workload.from_flit_load(load, 32)
-        gen = GeneralizedFatTreeModel(4, 2, levels).latency(wl)
-        paper = ButterflyFatTreeModel(4**levels).latency(wl)
-        if math.isinf(paper):
-            assert math.isinf(gen)
-        else:
-            assert gen == pytest.approx(paper, rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "variant",
-        [ModelVariant.paper(), ModelVariant.naive(), ModelVariant.conditional_up()],
-        ids=lambda v: v.label,
-    )
-    def test_variants_identical(self, variant):
-        wl = Workload.from_flit_load(0.03, 16)
-        gen = GeneralizedFatTreeModel(4, 2, 3, variant).latency(wl)
-        paper = ButterflyFatTreeModel(64, variant).latency(wl)
-        assert gen == pytest.approx(paper, rel=1e-12)
-
-    def test_rates_identical(self):
-        import numpy as np
-
-        from repro.core.rates import bft_channel_rates
-
-        assert np.allclose(
-            generalized_channel_rates(4, 2, 4, 0.01), bft_channel_rates(4, 0.01)
-        )
 
 
 class TestModelFamily:
@@ -220,14 +166,6 @@ class TestGeneralizedStageGraph:
             assert math.isinf(generic)
         else:
             assert generic == pytest.approx(closed, rel=1e-12)
-
-    def test_reduces_to_bft_graph(self):
-        from repro import bft_stage_graph, generalized_fattree_stage_graph
-
-        wl = Workload.from_flit_load(0.03, 32)
-        a = generalized_fattree_stage_graph(4, 2, 3, wl).latency()
-        b = bft_stage_graph(64, wl).latency()
-        assert a == pytest.approx(b, rel=1e-12)
 
     def test_variant_passthrough(self):
         from repro import generalized_fattree_stage_graph
