@@ -34,6 +34,7 @@ from ..errors import ConfigurationError
 from ..util.validation import is_zero
 from .distributions import scv_draper_ghosh
 from .markovian import mmc_waiting_time, mmc_waiting_time_batch
+from .mg1 import mg1_waiting_time_batch
 
 __all__ = [
     "hokstad_mg2_waiting_time",
@@ -112,7 +113,12 @@ def mgm_waiting_time_batch(
 
     Same two-moment scaling of the exact M/M/m wait, broadcast over a load
     axis; saturated and non-finite entries evaluate to ``inf`` per point.
+    ``servers == 1`` is evaluated as Pollaczek–Khinchine
+    (:func:`~repro.queueing.mg1.mg1_waiting_time_batch`), which the Erlang-C
+    form equals up to rounding.
     """
+    if servers == 1:
+        return mg1_waiting_time_batch(total_arrival_rate, mean_service, scv)
     service = np.asarray(mean_service, dtype=float)
     scv_arr = np.asarray(scv, dtype=float)
     w_mmm = mmc_waiting_time_batch(total_arrival_rate, service, servers)

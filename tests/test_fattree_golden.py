@@ -118,46 +118,46 @@ CLOSED_FORM = {
 
 # (N, flits, variant) -> digest of bft_stage_graph(...).latency_batch.
 STAGE_GRAPH = {
-    (4, 16, "paper"): "a396b8c27d1b9f1f98f0570a415d294624d936950acb27577622bb2ef8df2592",
-    (4, 16, "no_multiserver"): "a396b8c27d1b9f1f98f0570a415d294624d936950acb27577622bb2ef8df2592",
-    (4, 16, "no_blocking_correction"): "9959a66d32865afe993a33175aacd2edf4aa4577a10c0497441e0fc46dd2d1b2",
-    (4, 16, "naive"): "9959a66d32865afe993a33175aacd2edf4aa4577a10c0497441e0fc46dd2d1b2",
+    (4, 16, "paper"): "57e378988852124c59efcbbe26d95175dd586bd3b1e739969a7c08abdebdb8a0",
+    (4, 16, "no_multiserver"): "57e378988852124c59efcbbe26d95175dd586bd3b1e739969a7c08abdebdb8a0",
+    (4, 16, "no_blocking_correction"): "e96adf8693429fab2bb890a3383089f20d61c0e3b5db1f5391f1ab2436e858e8",
+    (4, 16, "naive"): "e96adf8693429fab2bb890a3383089f20d61c0e3b5db1f5391f1ab2436e858e8",
     (4, 16, "deterministic_scv"): "b5580b61eea2b7efc374ebf238a1e767fbdd3c6a59cfd0adc068ff592d659d33",
     (4, 16, "exponential_scv"): "ead17faf5a009ef9365f8225e6034761da3cc273756080e8ade42dac1e68f0dd",
-    (4, 16, "conditional_up"): "a396b8c27d1b9f1f98f0570a415d294624d936950acb27577622bb2ef8df2592",
-    (4, 32, "paper"): "cc7f2a223ad222fec834c8fbaf9f355b5b5fa94b2d0c4187df5c5af42b110642",
-    (4, 32, "no_multiserver"): "cc7f2a223ad222fec834c8fbaf9f355b5b5fa94b2d0c4187df5c5af42b110642",
-    (4, 32, "no_blocking_correction"): "7331958c452631e0910c7589a5d11220384136ad758b7bff2fdcdd7f1e241ad2",
-    (4, 32, "naive"): "7331958c452631e0910c7589a5d11220384136ad758b7bff2fdcdd7f1e241ad2",
+    (4, 16, "conditional_up"): "57e378988852124c59efcbbe26d95175dd586bd3b1e739969a7c08abdebdb8a0",
+    (4, 32, "paper"): "578164c7787e822431310b53f71640d7eb24daad3e16ce299fcbaf6f185d618a",
+    (4, 32, "no_multiserver"): "578164c7787e822431310b53f71640d7eb24daad3e16ce299fcbaf6f185d618a",
+    (4, 32, "no_blocking_correction"): "78f239e593a618d01e03fae314b5e979345e51e929ab4457ccdf07b3de9c482a",
+    (4, 32, "naive"): "78f239e593a618d01e03fae314b5e979345e51e929ab4457ccdf07b3de9c482a",
     (4, 32, "deterministic_scv"): "a14c469af91414bd23b6b06395159f1c3ac5452bfe6f53325269cb2b11f1181e",
     (4, 32, "exponential_scv"): "d094dbb9a9740ae43fcc65a99375d3213bda2e32acf006edc5d3be27936dea11",
-    (4, 32, "conditional_up"): "cc7f2a223ad222fec834c8fbaf9f355b5b5fa94b2d0c4187df5c5af42b110642",
-    (64, 16, "paper"): "6037f2466bc68447949899fbf9d310e60712d3102791f9cee7053d8660fa63ef",
+    (4, 32, "conditional_up"): "578164c7787e822431310b53f71640d7eb24daad3e16ce299fcbaf6f185d618a",
+    (64, 16, "paper"): "db3414916473ca64f608073b8271b41bd5de50622ecd57e6023ad6871e82cd3c",
     (64, 16, "no_multiserver"): "faf62e2b68867ef0ee580174acec703619724c744cc724097289d0787ba1e9e1",
     (64, 16, "no_blocking_correction"): "7a324d662473f8f92cec9085a6c9de010a6631818845ae7905bd4ea946a19ab7",
     (64, 16, "naive"): "124acbe9b5b5fa19e715c8856e7816ece36b10c6c3b01fcf7f52bf001d422184",
     (64, 16, "deterministic_scv"): "679e5bf17c9ea47d6365982929b1622dde95f5deb8cc97f849d7cfc1e11d7885",
     (64, 16, "exponential_scv"): "242283cfab3175cc10b7b20873890e37a8ecdc63835604b8ff47be412acfac03",
-    (64, 16, "conditional_up"): "27196554ba22308acda7794bd88ef5c257fc937a5d0000e102805555cf5de577",
-    (64, 32, "paper"): "e6a65f06955106233d0ab113c27029dcf791755f920a94847e27aa55d4e4ca6c",
+    (64, 16, "conditional_up"): "cf66c22ff9381be72a5a02b47757a6d6cb2394f9b1aed0d005ba2d4e380fa1bb",
+    (64, 32, "paper"): "23f856b73c2094f64a0358c40576a32640f9569bccbdc2f4dcda1a6197635138",
     (64, 32, "no_multiserver"): "1cd7507583f250d49b202084d80c6ef8615ed3b29c86a7f41e1aa97ef91eab06",
     (64, 32, "no_blocking_correction"): "1861cc255bffb4ffdcddab0c926d77a97a39e030e1e9872c9441e71d29fa2eec",
     (64, 32, "naive"): "081eb135bc084284536d6117edd1525e18aa3e34995cd720dec2a876ad16d171",
     (64, 32, "deterministic_scv"): "efef81cfc6ce7ae704801f5ba267917a195ba0dd3768387d2e56628c3064164f",
     (64, 32, "exponential_scv"): "e62cbcc071b9e84dd6ef91ab8c69804c18ccc9fcbbd786eb83592495d005a037",
-    (64, 32, "conditional_up"): "59dcbd464aed7f86e1290201da328a8f7db1919835010369281a2d46ab88b11f",
+    (64, 32, "conditional_up"): "b008b323fd220db1978fc82887d1697a1d1c1d017c83a7719a611763be9a215b",
     (4096, 16, "paper"): "95b05707464ef311c69e8b8fafef44995e081ab70fd06b3de892be2cc835044e",
-    (4096, 16, "no_multiserver"): "038fc78fc125a51a570527f129cfc90229182e65b65c63e6a66bccc7c4d172ab",
-    (4096, 16, "no_blocking_correction"): "850b320fdfb9889835927689417b52c2591ff247feced7c529d1aac4425a551b",
+    (4096, 16, "no_multiserver"): "db4a5c5454e2caafe747d5781072a6a8655bf4122d77df7d249dfedf4bd9d4de",
+    (4096, 16, "no_blocking_correction"): "d5cc89da28c2601873bc28ab092cc446abbb154c150d6048b27a56c69107c1e2",
     (4096, 16, "naive"): "ae2ac4c7be6d9f78fd2abe0c347ade3a37d5d5369fad164ba659f8e8e1204c7a",
-    (4096, 16, "deterministic_scv"): "7b7132cedee86dd4775c89ce4a4000a3fa2a5c6c7491c4b5e1eac28df1db7833",
+    (4096, 16, "deterministic_scv"): "f7ad9a8022ff0d3b583657c3542ce94bf86958f8ccfa4179a224e83c44b135c4",
     (4096, 16, "exponential_scv"): "d9e34f60f2f6dbea3059d6a0fa8617f3060397390adda0c85995e092ecf769f8",
     (4096, 16, "conditional_up"): "34ab78b2a2c6c9d4af9a2cd7adbef17602f85778d236a8c6480844ab2524ca68",
     (4096, 32, "paper"): "219a24c4567f46831dc38a69c3066b5874d205836a9a1e88f9510f11e3348455",
-    (4096, 32, "no_multiserver"): "e20a21f50c25cee410ec925670edb60820d4da526e2054a07e84f756987e6abe",
-    (4096, 32, "no_blocking_correction"): "e1f4bf3664b346bd3304c9d907e1e11a9d70722f295e4616b973d283191f08a3",
+    (4096, 32, "no_multiserver"): "7d145d536eef52f5a7acbcaf16290d8e8196e0ed19fe62076036fc6662c77481",
+    (4096, 32, "no_blocking_correction"): "0915af8d6e866e21586941fbce17fef30942eb14bb4130e85c09b23c624724f4",
     (4096, 32, "naive"): "fe05f9410099bfe956455fbe0986d86cf694316142dba858cbc8ad75aa204dd4",
-    (4096, 32, "deterministic_scv"): "87f30cf8944534ad724316efb6c5be565e0332f0e71b0f68303026209a749017",
+    (4096, 32, "deterministic_scv"): "21100a62cd4cb15cad6ecefbe3c7314fbc151780bd7105ddf798fc88bcf13e45",
     (4096, 32, "exponential_scv"): "140476b981dc868f270d72a6fda233be5a187b1e93d63cc1a144ac3049f23577",
     (4096, 32, "conditional_up"): "b776a35863f84bb01c8f5854b6754fd5b3c99cd529a3fc4ab7044f7b9ac36a40",
 }

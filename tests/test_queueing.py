@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +18,10 @@ from repro.queueing import (
     md1_waiting_time,
     mg1_utilization,
     mg1_waiting_time,
+    mg1_waiting_time_batch,
     mg1_waiting_time_wormhole,
     mgm_waiting_time,
+    mgm_waiting_time_batch,
     mgm_waiting_time_wormhole,
     mm1_waiting_time,
     mmc_waiting_time,
@@ -254,3 +257,26 @@ class TestHokstadMg2:
         w0 = mgm_waiting_time(lam, x, m, 0.0)
         w1 = mgm_waiting_time(lam, x, m, 1.0)
         assert w1 == pytest.approx(2.0 * w0, rel=1e-12)
+
+    @given(
+        rho=st.floats(0.0, 1.5),
+        x=st.floats(1.0, 64.0),
+        scv=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_single_server_batch_is_pollaczek_khinchine(self, rho, x, scv):
+        # The last two points sit exactly at and past rho = 1.
+        lam = np.array([rho / x, 1.0 / 16.0, 0.125])
+        service = np.array([x, 16.0, 16.0])
+        scv_arr = np.full(3, scv)
+        got = mgm_waiting_time_batch(lam, service, 1, scv_arr)
+        assert np.array_equal(got, mg1_waiting_time_batch(lam, service, scv_arr))
+        saturated = lam * service >= 1.0
+        assert saturated[1:].all()
+        assert np.array_equal(np.isinf(got), saturated)
+        for w, l, s in zip(got, lam, service):
+            # The Erlang-C scalar reference: equal up to rounding.
+            reference = mgm_waiting_time(float(l), float(s), 1, scv)
+            assert math.isinf(w) == math.isinf(reference)
+            if math.isfinite(reference):
+                assert math.isclose(w, reference, rel_tol=1e-13)
