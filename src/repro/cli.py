@@ -887,7 +887,7 @@ def _cmd_saturation(args):
     model = ButterflyFatTreeModel(args.processors)
     spec = _spec_from_args(args)
     rows = []
-    for flits in (int(x) for x in args.flits.split(",")):
+    for flits in _split_ints(args.flits, "--flits"):
         sat = saturation_injection_rate(model, flits, spec=spec)
         rows.append((flits, sat.injection_rate, sat.flit_load))
     suffix = f", {spec.name}" if spec is not None else ""
@@ -983,9 +983,12 @@ def _cmd_patterns(args):
 
 def _split_ints(text: str, flag: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise ConfigurationError(f"{flag} expects comma-separated integers, got {text!r}")
+    return values
 
 
 def _design_family_spaces(args) -> list:

@@ -2,13 +2,12 @@
 
 * :mod:`repro.core.rates` — channel arrival rates (Eqs. 12-15);
 * :mod:`repro.core.blocking` — the wormhole blocking correction (Eqs. 9-10);
-* :mod:`repro.core.generalized_model` — the closed-form two-sweep fat-tree
-  solver (Eqs. 16-25) for any ``(c, p)`` fat-tree;
-* :mod:`repro.core.bft_model` — the paper's butterfly fat-tree model, the
-  ``(4, 2)`` instance of that solver;
-* :mod:`repro.core.generic_model` — the general Section-2 recursion on
-  arbitrary channel graphs (Eqs. 3, 11), with ready-made fat-tree and
-  hypercube instantiations;
+* :mod:`repro.core.generic_model` — the only solver: the Section-2
+  recursion (Eqs. 3-11) on a compiled stage graph, swept when acyclic and
+  iterated to a fixed point when cyclic, with fat-tree and hypercube graphs;
+* :mod:`repro.core.generalized_model` — the Section-3 model (Eqs. 16-25)
+  of any ``(c, p)`` fat-tree, answered from its stage graph;
+* :mod:`repro.core.bft_model` — the paper's butterfly fat-tree, ``(4, 2)``;
 * :mod:`repro.core.throughput` — the Eq. 26 saturation solver;
 * :mod:`repro.core.sweep` — latency-vs-load curves;
 * :mod:`repro.core.variants` — ablation switches.

@@ -1,19 +1,17 @@
 """Batch evaluation results: whole load grids solved in one NumPy pass.
 
-The scalar solvers resolve one operating point per call, which makes every
-latency-vs-load curve (Figure 3) and every Eq. 26 saturation search O(points
-x levels) Python.  The batch engine broadcasts the same Eq. 3-11 recursion
-over a *load axis* instead: all per-stage service times, M/G/m waits and
-blocking corrections become arrays with one entry per injection rate, and
-``inf`` propagates per point past saturation without poisoning the finite
-entries.
+The Eq. 3-11 recursion is broadcast over a *load axis*: all per-stage
+service times, M/G/m waits and blocking corrections are arrays with one
+entry per injection rate, and ``inf`` propagates per point past saturation
+without poisoning the finite entries.
 
-:class:`BatchSolution` is the result type of the closed-form fat-tree
-sweep (:meth:`GeneralizedFatTreeModel.solve_batch
-<repro.core.generalized_model.GeneralizedFatTreeModel.solve_batch>`, which
+:class:`BatchSolution` is the result type of the fat-tree model's
+:meth:`GeneralizedFatTreeModel.solve_batch
+<repro.core.generalized_model.GeneralizedFatTreeModel.solve_batch>` (which
 :class:`~repro.core.bft_model.ButterflyFatTreeModel` inherits as its
-``(4, 2)`` instance).  The :class:`~repro.core.generic_model.ChannelGraphModel`
-batch API shares :func:`as_injection_rates` and :func:`charged_wait`.
+``(4, 2)`` instance): the per-level rows of one
+:class:`~repro.core.generic_model.ChannelGraphModel` solve, the only
+solver, which uses :func:`as_injection_rates` and :func:`charged_wait`.
 Each scalar ``latency(workload)`` is a thin wrapper over a one-point batch,
 so batch and scalar sweeps agree bit-for-bit.
 """

@@ -3,10 +3,10 @@
 The 4-2 butterfly fat-tree is the ``(children, parents) = (4, 2)`` member of
 the generalized fat-tree family, so :class:`ButterflyFatTreeModel` is
 :class:`~repro.core.generalized_model.GeneralizedFatTreeModel` with those
-parameters: the Eq. 16-24 down and up sweeps, the M/G/2 up-channel waits
-fed the pair rate ``2 * lambda`` (the published correction to Eqs. 21/23),
-the M/G/1 injection channel (Eq. 24) and the Eq. 25 latency all live
-there.  This class adds the paper's ``N = 4**n`` sizing and the
+parameters: the Eq. 16-24 down and up sweeps (solved as its stage graph),
+the M/G/2 up-channel waits fed the pair rate ``2 * lambda`` (the published
+correction to Eqs. 21/23), the M/G/1 injection channel (Eq. 24) and the
+Eq. 25 latency all live there.  This class adds the paper's ``N = 4**n`` sizing and the
 pattern-aware per-channel solver.
 
 Saturated operating points (any channel utilization at or above capacity)

@@ -1,39 +1,18 @@
-"""The closed-form fat-tree model of Section 3, for any ``(c, p)`` fat-tree.
+"""The fat-tree model of Section 3, for any ``(c, p)`` fat-tree.
 
 The paper's 4-2 butterfly fat-tree is the ``(c, p) = (4, 2)`` member of a
-family in which every switch has ``c`` child ports and ``p`` parent ports;
-its conclusion notes the framework "can be extended for networks that
-require queuing models with more than two servers".  The two sweeps below
-are written once for the family, and
-:class:`~repro.core.bft_model.ButterflyFatTreeModel` is their ``(4, 2)``
-instance.
+family in which every switch has ``c`` child ports and ``p`` parent ports
+(M/G/p up channels; the conclusion's "queuing models with more than two
+servers"), so :class:`~repro.core.bft_model.ButterflyFatTreeModel` is the
+``(4, 2)`` instance of :class:`GeneralizedFatTreeModel`.
 
-The channel dependency graph of a fat-tree is acyclic, so per-channel-class
-mean service times and waits resolve in two closed-form sweeps (no
-fixed-point iteration):
-
-1. **Down sweep** (Eqs. 16-19), from the ejection channels upward: the
-   service time of a down channel is the downstream service time plus the
-   blocking-corrected downstream wait (one of ``c`` children, ``R = 1/c``);
-   waits come from the M/G/1 model because down links have no redundancy.
-2. **Up sweep** (Eqs. 20-24), from the root level downward: an up channel's
-   service time mixes the continue-up branch (weight ``P^``) and the
-   turn-down branch (weight ``P#``, one of ``c - 1`` sibling channels).
-   Waits on up channels use the ``p``-server M/G/p model fed the total
-   bundle rate ``p * lambda`` (for ``p = 2`` this is the published
-   correction to Eqs. 21/23), except the injection channel ``<0,1>``,
-   which has no redundant partner and stays M/G/1 (Eq. 24).
-
-Rates and branching probabilities come from :mod:`repro.core.rates`
-(``P^_l = (c^n - c^l) / (c^n - 1)``,
-``lambda_{l,l+1} = lambda_0 * P^_l * (c/p)^l``), and average latency from
-Eq. 25: ``L = W_{0,1} + x_{0,1} + (D_bar - 1)`` with
-``D_bar = sum_l 2 l (c^l - c^(l-1)) / (c^n - 1)``.
-
-The sweeps are batched: :meth:`GeneralizedFatTreeModel.solve_batch`
-broadcasts both over a whole vector of injection rates in one NumPy pass
-(``inf`` propagating per point past saturation), and the scalar ``solve``
-/ ``latency`` are one-point wrappers over it, so they agree bit-for-bit.
+Section 3's down and up sweeps (Eqs. 16-24) are the Section 2 recursion
+(Eqs. 3-11) on the fat-tree's acyclic channel graph, so the model has no
+solver of its own: it answers every query from
+:func:`~repro.core.generic_model.generalized_fattree_stage_graph`, built
+once per message length at unit injection rate (rates are linear in it).
+``solve_batch`` / ``solve`` reshape the graph's ``up{l}`` / ``down{l}``
+stage arrays into per-level rows; scalar answers are one-point batches.
 """
 
 from __future__ import annotations
@@ -45,16 +24,11 @@ import numpy as np
 
 from ..config import Workload
 from ..errors import ConfigurationError
-from ..obs.metrics import METRICS
-from ..queueing.distributions import scv_for_mode_batch
-from ..queueing.mg1 import mg1_waiting_time_batch
-from ..queueing.mgm import mgm_waiting_time_batch
 from ..topology.properties import generalized_average_distance
 from ..util.validation import check_fattree_shape
-from .batch import BatchSolution, as_injection_rates, charged_wait
-from .blocking import blocking_probability_batch
+from .batch import BatchSolution, as_injection_rates
+from .generic_model import ChannelGraphModel, generalized_fattree_stage_graph
 from .rates import (
-    climb_probability,
     generalized_channel_rates,
     generalized_channel_rates_batch,
     generalized_up_probability,
@@ -162,123 +136,46 @@ class GeneralizedFatTreeModel:
         self.num_processors = children**levels
         self.variant = variant or ModelVariant.paper()
         self.average_distance = generalized_average_distance(children, levels)
+        self._graphs: dict[int, ChannelGraphModel] = {}
 
-    def _scv_batch(self, service: np.ndarray, flits: int) -> np.ndarray:
-        """Per-point SCV of a channel class (0 past saturation)."""
-        return scv_for_mode_batch(self.variant.scv_mode, service, flits)
+    def _graph(self, message_flits: int) -> ChannelGraphModel:
+        """The model's stage graph for ``message_flits``, built once at unit rate."""
+        if not isinstance(message_flits, int) or message_flits <= 0:
+            raise ConfigurationError("message_flits must be a positive integer")
+        if message_flits not in self._graphs:
+            self._graphs[message_flits] = generalized_fattree_stage_graph(
+                self.children, self.parents, self.levels,
+                Workload(message_flits, 1.0), self.variant,
+            )
+        return self._graphs[message_flits]
 
     # --- solver ----------------------------------------------------------------------
 
     def solve_batch(self, injection_rates, message_flits: int) -> BatchSolution:
         """Resolve every channel class over a whole vector of injection rates.
 
-        Both Eq. 16-24 sweeps are broadcast over the load axis: all stage
-        service times, M/G/m waits and blocking corrections are arrays with
-        one entry per injection rate, with ``inf`` propagating per point
-        past saturation.  Column ``k`` of every per-level array is
+        One stage-graph solve, reshaped into per-level ``details`` rows of
+        shape ``(levels, K)`` (``inf`` past saturation); column ``k`` is
         bit-identical to the scalar solve at ``injection_rates[k]``.
         """
-        if not isinstance(message_flits, int) or message_flits <= 0:
-            raise ConfigurationError("message_flits must be a positive integer")
+        graph = self._graph(message_flits)
         inj = as_injection_rates(injection_rates)
-        c, p, n = self.children, self.parents, self.levels
-        flits = message_flits
-        blocking = self.variant.blocking_correction
-        rate = generalized_channel_rates_batch(c, p, n, inj)  # (levels, K)
-
-        down_service = np.empty_like(rate)
-        down_wait = np.empty_like(rate)
-        up_service = np.empty_like(rate)
-        up_wait = np.empty_like(rate)
-
-        # ---- down sweep: ejection channel first (Eqs. 16-19) ----
-        down_service[0] = float(flits)
-        down_wait[0] = mg1_waiting_time_batch(
-            rate[0], down_service[0], self._scv_batch(down_service[0], flits)
-        )
-        for l in range(1, n):
-            p_block = blocking_probability_batch(
-                1, rate[l], rate[l - 1], 1.0 / c, enabled=blocking
-            )
-            down_service[l] = down_service[l - 1] + charged_wait(
-                p_block, down_wait[l - 1]
-            )
-            down_wait[l] = mg1_waiting_time_batch(
-                rate[l], down_service[l], self._scv_batch(down_service[l], flits)
-            )
-
-        # ---- up sweep: root level first (Eqs. 20-24) ----
-        for u in range(n - 1, -1, -1):
-            # Branching at the switch this channel enters (level u + 1).
-            p_up = climb_probability(c, n, u + 1, self.variant.conditional_up_probability)
-            p_down = 1.0 - p_up
-            service = np.zeros(inj.shape)
-            if p_up > 0.0:
-                if self.variant.multiserver_up:
-                    # One p-server channel per switch, total rate p*lambda,
-                    # targeted with the full climb probability.
-                    servers, group_rate, queue_prob = p, p * rate[u + 1], p_up
-                else:
-                    # Ablation: p independent M/G/1 queues, each targeted
-                    # with a 1/p share of the climb probability.
-                    servers, group_rate, queue_prob = 1, rate[u + 1], p_up / p
-                p_block_up = blocking_probability_batch(
-                    servers, rate[u], group_rate, queue_prob, enabled=blocking
-                )
-                service = service + p_up * (
-                    up_service[u + 1] + charged_wait(p_block_up, up_wait[u + 1])
-                )
-            # Turn-down branch: c - 1 sibling subtrees, one single-server
-            # down channel each (the top level has exactly this form, with
-            # p_down == 1; for c = 4 this is Eq. 20's factor 2/3).
-            p_block_down = blocking_probability_batch(
-                1, rate[u], rate[u], p_down / (c - 1), enabled=blocking
-            )
-            service = service + p_down * (
-                down_service[u] + charged_wait(p_block_down, down_wait[u])
-            )
-            up_service[u] = service
-            scv = self._scv_batch(up_service[u], flits)
-            if u == 0:
-                # Injection channel <0,1>: no redundant partner (Eq. 24).
-                up_wait[0] = mg1_waiting_time_batch(rate[0], up_service[0], scv)
-            elif self.variant.multiserver_up:
-                up_wait[u] = mgm_waiting_time_batch(p * rate[u], up_service[u], p, scv)
-            else:
-                up_wait[u] = mg1_waiting_time_batch(rate[u], up_service[u], scv)
-
-        # A point is saturated when *any* channel class diverged; finite
-        # points get the Eq. 25 latency W_{0,1} + x_{0,1} + D_bar - 1.
-        finite = (
-            np.all(np.isfinite(down_service), axis=0)
-            & np.all(np.isfinite(down_wait), axis=0)
-            & np.all(np.isfinite(up_service), axis=0)
-            & np.all(np.isfinite(up_wait), axis=0)
-        )
-        if METRICS.enabled:
-            # Same counter names as the stage-graph engine, so every
-            # analytical family reports identical solve telemetry per point.
-            METRICS.add("solve.batch")
-            METRICS.add("solve.points", float(finite.size))
-            METRICS.add(
-                "solve.saturated_points", float(finite.size - np.count_nonzero(finite))
-            )
-        latencies = np.where(
-            finite, up_wait[0] + up_service[0] + self.average_distance - 1.0, np.inf
-        )
+        service, wait, finite = graph._solve(inj)
+        up = [graph._position[f"up{l}"] for l in range(self.levels)]
+        down = [graph._position[f"down{l}"] for l in range(self.levels)]
         return BatchSolution(
-            message_flits=flits,
+            message_flits=message_flits,
             injection_rates=inj,
-            injection_service=up_service[0],
-            injection_wait=up_wait[0],
-            latencies=latencies,
+            injection_service=service[up[0]],
+            injection_wait=wait[up[0]],
+            latencies=graph._latency_from(service, wait, finite),
             average_distance=self.average_distance,
             details={
-                "rate": rate,
-                "down_service": down_service,
-                "down_wait": down_wait,
-                "up_service": up_service,
-                "up_wait": up_wait,
+                "rate": np.multiply.outer(graph._rate[up], inj),
+                "down_service": service[down],
+                "down_wait": wait[down],
+                "up_service": service[up],
+                "up_wait": wait[up],
             },
         )
 
@@ -289,9 +186,7 @@ class GeneralizedFatTreeModel:
         """
         if not isinstance(workload, Workload):
             raise ConfigurationError(f"workload must be a Workload, got {workload!r}")
-        batch = self.solve_batch(
-            np.array([workload.injection_rate]), workload.message_flits
-        )
+        batch = self.solve_batch(np.array([workload.injection_rate]), workload.message_flits)
         return BftSolution(
             workload=workload,
             levels=self.levels,
@@ -313,11 +208,15 @@ class GeneralizedFatTreeModel:
         Entry ``k`` equals ``latency(Workload(message_flits, loads[k]))``
         exactly.
         """
-        return self.solve_batch(loads, message_flits).latencies
+        graph = self._graph(message_flits)
+        return graph._latency_from(*graph._solve(as_injection_rates(loads)))
 
     def stability_batch(self, loads, message_flits: int) -> np.ndarray:
         """Vectorized Eq. 26 stability test (one bool per injection rate)."""
-        return self.solve_batch(loads, message_flits).stable_mask
+        graph = self._graph(message_flits)
+        rates = as_injection_rates(loads)
+        service, _, finite = graph._solve(rates)
+        return graph._stable_from(service, finite, rates, 1.0)  # built at unit rate
 
     def latency_at_flit_load(self, flit_load: float, message_flits: int) -> float:
         """Latency with load given in Figure-3 units (flits/cycle/PE)."""
@@ -328,12 +227,11 @@ class GeneralizedFatTreeModel:
         return float(message_flits) + self.average_distance - 1.0
 
     def is_stable(self, workload: Workload) -> bool:
-        """True when the model admits a steady state at ``workload``."""
-        solution = self.solve(workload)
-        if solution.saturated:
-            return False
-        # Eq. 26: the source must keep up with its own offered rate.
-        return workload.injection_rate * solution.injection_service < 1.0
+        """True when the model admits a steady state at ``workload`` (Eq. 26)."""
+        if not isinstance(workload, Workload):
+            raise ConfigurationError(f"workload must be a Workload, got {workload!r}")
+        rate = np.array([workload.injection_rate])
+        return bool(self.stability_batch(rate, workload.message_flits)[0])
 
     def describe(self) -> str:
         """One-line human-readable summary."""

@@ -16,30 +16,30 @@ channels.  This module implements that general recursion over an explicit
   used by the blocking correction (these differ when a class contains
   several distinct queues, e.g. the four children of a switch).
 
-On an acyclic stage graph (fat-trees, e-cube hypercubes) a single reverse
-topological sweep is exact; on cyclic graphs the same recursion is iterated
-to a fixed point (:func:`repro.util.fixedpoint.fixed_point_batch`).
+Each :class:`ChannelGraphModel` compiles its stages once into a positional
+plan, and one Eq. 11 kernel runs it: a single reverse topological sweep on
+an acyclic graph (fat-trees, e-cube hypercubes), a fixed point
+(:func:`repro.util.fixedpoint.fixed_point_batch`) on a cyclic one.  This is
+the repo's only solver of the recursion.  :func:`generalized_fattree_stage_graph`
+derives the paper's Section-3 fat-tree equations from it (the fat-tree
+model answers from that graph; :func:`bft_stage_graph` is its ``(4, 2)``
+instance), and :func:`hypercube_stage_graph` applies it to a binary
+hypercube — the "other networks" the paper's abstract refers to.
 
-:func:`generalized_fattree_stage_graph` re-derives the paper's fat-tree
-equations from this general machinery (:func:`bft_stage_graph` is its
-``(4, 2)`` instance); the test suite verifies it matches the closed-form
-:class:`~repro.core.generalized_model.GeneralizedFatTreeModel` to machine
-precision.  :func:`hypercube_stage_graph` applies the same machinery to a
-binary hypercube — the "other networks" the paper's abstract refers to.
-
-The recursion is implemented batched: because channel rates are linear in
-the injection rate, one stage graph describes a whole load sweep, and
-``solve_batch`` / ``latency_batch`` evaluate every scale factor in one
-NumPy pass (cyclic graphs iterate a column-batched fixed point that
-freezes saturated points at ``inf`` while the rest converge).  The scalar
-``solve()`` is a cached one-point batch — the graph is immutable, so
-``latency()`` and ``injection_service()`` share a single resolution.
+The recursion is batched: channel rates are linear in the injection rate,
+so one stage graph describes a whole load sweep, and ``solve_batch`` /
+``latency_batch`` evaluate every scale factor in one NumPy pass (a cyclic
+graph's fixed point freezes saturated points at ``inf`` while the rest
+converge).  The scalar ``solve()`` is a cached one-point batch, which
+``latency()`` and ``injection_service()`` read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from ..topology.properties import generalized_average_distance, hypercube_averag
 from ..util.fixedpoint import fixed_point_batch
 from ..util.validation import check_fattree_shape, check_power_of
 from .batch import as_injection_rates, charged_wait
-from .blocking import blocking_probability_batch
+from .blocking import _blocking_factor
 from .rates import climb_probability, generalized_channel_rates
 from .variants import ModelVariant
 
@@ -203,6 +203,24 @@ class StageBatchSolution:
         return np.isfinite(self.service) & np.isfinite(self.wait)
 
 
+class _Wave(NamedTuple):
+    """Stages solved together: one topological depth, or a whole cyclic graph."""
+
+    stages: slice  # plan positions of its stages
+    edges: slice  # plan positions of their transitions
+    groups: tuple[tuple[int, slice], ...]  # (servers, stage slice) per server count
+
+
+def _runs(keys, start: int) -> list[tuple]:
+    """``(key, slice)`` per run of equal consecutive ``keys``, from ``start``."""
+    runs: list[tuple] = []
+    for key, run in itertools.groupby(keys):
+        stop = start + len(list(run))
+        runs.append((key, slice(start, stop)))
+        start = stop
+    return runs
+
+
 class ChannelGraphModel:
     """General wormhole-latency solver over a stage graph (Eqs. 3-11).
 
@@ -227,7 +245,7 @@ class ChannelGraphModel:
         entry and traffic-weighted (the pattern-aware builders in
         :mod:`repro.traffic.analytic` use this).
     variant:
-        Approximation switches shared with the closed-form model.
+        Approximation switches shared with the fat-tree model.
     reference_rate:
         The per-PE injection rate the graph's stage rates were built at;
         ``latency_batch`` / ``stability_batch`` convert absolute load grids
@@ -287,55 +305,80 @@ class ChannelGraphModel:
         self.average_distance = average_distance
         self.variant = variant or ModelVariant.paper()
         self.reference_rate = reference_rate
-        self._order = self._topological_order()
+        self._compile()
         # The graph is immutable, so the unit-scale solution is computed at
         # most once per instance (latency() and injection_service() share it).
         self._solution: dict[str, StageSolution] | None = None
 
     # --- structure ------------------------------------------------------------
 
-    def _topological_order(self) -> list[str] | None:
-        """Reverse-dependency order (terminals first), or None if cyclic."""
-        indeg = {name: len(s.transitions) for name, s in self.stages.items()}
-        rev: dict[str, list[str]] = {name: [] for name in self.stages}
+    def _compile(self) -> None:
+        """Compile the stages into the positional plan both solvers run.
+
+        Stages are ordered by depth (a cyclic graph is one depth), servers
+        and name, so waves and server groups are slices.  Per stage: rate
+        and servers; per nonzero transition, grouped by source: target
+        position, probability, queue probability and target servers.
+        """
+        depth = self._depths()
+        self._acyclic = len(depth) == len(self.stages)
+        if not self._acyclic:
+            depth = dict.fromkeys(self.stages, 0)
+        self._names = sorted(self.stages, key=lambda n: (depth[n], self.stages[n].servers, n))
+        self._position = {name: i for i, name in enumerate(self._names)}
+        stages = [self.stages[name] for name in self._names]
+        self._rate = np.array([s.rate_per_server for s in stages])
+        entries = self.entries
+        self._entry_rows = [(self._position[e.name], e.weight, e.distance) for e in entries]
+        edges = [
+            (i, self._position[t.target], t.probability,
+             t.effective_queue_probability, self.stages[t.target].servers)
+            for i, s in enumerate(stages) for t in s.transitions if t.probability > 0.0
+        ]
+        source, target, probability, queue_probability, servers = (
+            np.array(edges, dtype=float).reshape(-1, 5).T
+        )
+        self._source, self._target = source.astype(int), target.astype(int)
+        self._probability = probability[:, np.newaxis]
+        self._queue_probability = queue_probability[:, np.newaxis]
+        self._target_servers = servers.astype(int)[:, np.newaxis]
+        # A terminal stage serves one message length; the others sum from 0.
+        terminal = ~np.isin(np.arange(len(stages)), self._source)
+        self._base = np.where(terminal, float(self.message_flits), 0.0)[:, np.newaxis]
+        bounds = np.searchsorted(self._source, np.arange(len(stages) + 1))
+        self._waves = [
+            _Wave(rows, slice(bounds[rows.start], bounds[rows.stop]),
+                  tuple(_runs([s.servers for s in stages[rows]], rows.start)))
+            for _, rows in _runs([depth[name] for name in self._names], 0)
+        ]
+
+    def _depths(self) -> dict[str, int]:
+        """Kahn's algorithm: stage depths (terminals 0); cycle stages get none."""
+        pending = {name: len(s.transitions) for name, s in self.stages.items()}
+        upstream: dict[str, list[str]] = {name: [] for name in self.stages}
         for name, s in self.stages.items():
             for t in s.transitions:
-                rev[t.target].append(name)
-        ready = [n for n, d in indeg.items() if d == 0]
-        order: list[str] = []
+                upstream[t.target].append(name)
+        ready = [name for name, d in pending.items() if d == 0]
+        depth: dict[str, int] = {}
         while ready:
-            n = ready.pop()
-            order.append(n)
-            for upstream in rev[n]:
-                indeg[upstream] -= 1
-                if indeg[upstream] == 0:
-                    ready.append(upstream)
-        return order if len(order) == len(self.stages) else None
+            name = ready.pop()
+            targets = (depth[t.target] + 1 for t in self.stages[name].transitions)
+            depth[name] = max(targets, default=0)
+            for source in upstream[name]:
+                pending[source] -= 1
+                if pending[source] == 0:
+                    ready.append(source)
+        return depth
 
     @property
     def is_acyclic(self) -> bool:
         """True when one reverse sweep solves the graph exactly."""
-        return self._order is not None
+        return self._acyclic
 
     def _cycle_members(self) -> list[str]:
         """Stage names on or feeding into a cycle (empty when acyclic)."""
-        if self._order is not None:
-            return []
-        indeg = {name: len(s.transitions) for name, s in self.stages.items()}
-        rev: dict[str, list[str]] = {name: [] for name in self.stages}
-        for name, s in self.stages.items():
-            for t in s.transitions:
-                rev[t.target].append(name)
-        ready = [n for n, d in indeg.items() if d == 0]
-        done: set[str] = set()
-        while ready:
-            n = ready.pop()
-            done.add(n)
-            for upstream in rev[n]:
-                indeg[upstream] -= 1
-                if indeg[upstream] == 0:
-                    ready.append(upstream)
-        return sorted(set(self.stages) - done)
+        return sorted(set(self.stages) - set(self._depths()))
 
     def check(
         self, *, expect_acyclic: bool | None = None, load_scale: float = 1.0
@@ -406,93 +449,68 @@ class ChannelGraphModel:
 
     # --- solving ----------------------------------------------------------------
 
-    def _wait_batch(self, stage: Stage, service: np.ndarray, rate: np.ndarray) -> np.ndarray:
-        """Per-point M/G/m wait of one stage (``inf`` where diverged)."""
-        scv = scv_for_mode_batch(self.variant.scv_mode, service, self.message_flits)
-        return mgm_waiting_time_batch(stage.servers * rate, service, stage.servers, scv)
+    def _blocking(self, rates: np.ndarray) -> np.ndarray:
+        """Eq. 10 factor of every transition (needs only rates; inputs checked at build)."""
+        m = self._target_servers
+        inc, out = rates[self._source], m * rates[self._target]
+        if not self.variant.blocking_correction:
+            return np.ones_like(inc)
+        return _blocking_factor(m, inc, out, self._queue_probability)
 
-    def _service_of_batch(
-        self,
-        stage: Stage,
-        solved: dict[str, StageBatchSolution],
-        rates: dict[str, np.ndarray],
-        n_points: int,
-    ) -> np.ndarray:
-        """Eq. 11 service-time mixture of one stage, over the load axis."""
-        if stage.is_terminal:
-            return np.full(n_points, float(self.message_flits))
-        total = np.zeros(n_points)
-        for t in stage.transitions:
-            if t.probability == 0.0:
-                continue
-            down = solved[t.target]
-            target = self.stages[t.target]
-            p_block = blocking_probability_batch(
-                target.servers,
-                rates[stage.name],
-                target.servers * rates[t.target],
-                t.effective_queue_probability,
-                enabled=self.variant.blocking_correction,
-            )
-            total = total + t.probability * (
-                down.service + charged_wait(p_block, down.wait)
-            )
-        return total
+    def _mix(self, wave: _Wave, blocks, service, wait, out: np.ndarray) -> None:
+        """The Eq. 11 kernel: write a wave's service-time mixtures into ``out``.
 
-    def solve_batch(self, rate_scales) -> dict[str, StageBatchSolution]:
-        """Resolve every stage over a vector of traffic scale factors.
-
-        Channel rates are linear in the injection rate, so one stage graph
-        built at a reference workload describes a whole load sweep: entry
-        ``k`` of the result scales every stage's rate by ``rate_scales[k]``.
-        Acyclic graphs are solved in one reverse sweep with all per-stage
-        arrays broadcast over the load axis; cyclic graphs iterate Eq. 11
-        with :func:`~repro.util.fixedpoint.fixed_point_batch`, freezing
-        saturated points at ``inf`` while the rest converge.
+        ``np.add.at`` sums each stage's terms left to right, in transition order.
         """
-        scales = as_injection_rates(rate_scales)
+        e = wave.edges
+        target = self._target[e]
+        terms = self._probability[e] * (service[target] + charged_wait(blocks[e], wait[target]))
+        out[wave.stages] = self._base[wave.stages]
+        np.add.at(out, self._source[e], terms)
+
+    def _wait(self, wave: _Wave, rates, service, out: np.ndarray) -> None:
+        """Write a wave's M/G/m waits into ``out`` (``inf`` where diverged)."""
+        for m, rows in wave.groups:
+            x = service[rows]
+            scv = scv_for_mode_batch(self.variant.scv_mode, x, self.message_flits)
+            out[rows] = mgm_waiting_time_batch(m * rates[rows], x, m, scv)
+
+    def _solve(self, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the plan: ``(S, K)`` service and wait, and the steady-state mask.
+
+        Untraced (the public entry points open the span).  A diverged
+        service yields an ``inf`` wait, so the waits decide the mask.
+        """
         if METRICS.enabled:
             METRICS.add("solve.batch")
             METRICS.add("solve.points", float(scales.size))
-        rates = {
-            name: stage.rate_per_server * scales
-            for name, stage in self.stages.items()
-        }
-        with trace_span(
-            "solve/stage_graph", stages=len(self.stages), points=int(scales.size)
-        ):
-            if self._order is not None:
-                solved: dict[str, StageBatchSolution] = {}
-                for name in self._order:
-                    stage = self.stages[name]
-                    service = self._service_of_batch(stage, solved, rates, scales.size)
-                    solved[name] = StageBatchSolution(
-                        service, self._wait_batch(stage, service, rates[name])
-                    )
-                return solved
-            return self._solve_cyclic_batch(rates, scales.size)
+        rates = np.multiply.outer(self._rate, scales)
+        blocks = self._blocking(rates)
+        service, wait = np.empty_like(rates), np.empty_like(rates)
+        if self._acyclic:
+            for wave in self._waves:
+                self._mix(wave, blocks, service, wait, service)
+                self._wait(wave, rates, service, wait)
+        else:
+            service = self._fixed_point(rates, blocks)
+            self._wait(self._waves[0], rates, service, wait)
+        finite = np.all(np.isfinite(wait), axis=0)
+        if METRICS.enabled:
+            METRICS.add("solve.saturated_points", float(np.count_nonzero(~finite)))
+        return service, wait, finite
 
-    def _solve_cyclic_batch(
-        self, rates: dict[str, np.ndarray], n_points: int
-    ) -> dict[str, StageBatchSolution]:
-        names = sorted(self.stages)
-        idx = {n: i for i, n in enumerate(names)}
+    def _fixed_point(self, rates: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """Iterate the Eq. 11 kernel over the graph's one wave to a fixed point."""
+        (wave,) = self._waves
 
         def step(x: np.ndarray) -> np.ndarray:
-            solved = {
-                n: StageBatchSolution(
-                    x[idx[n]], self._wait_batch(self.stages[n], x[idx[n]], rates[n])
-                )
-                for n in names
-            }
-            out = np.empty_like(x)
-            for n in names:
-                out[idx[n]] = self._service_of_batch(
-                    self.stages[n], solved, rates, n_points
-                )
+            wait, out = np.empty_like(x), np.empty_like(x)
+            self._wait(wave, rates, x, wait)
+            self._mix(wave, blocks, x, wait, out)
             return out
 
-        x0 = np.full((len(names), n_points), float(self.message_flits))
+        n_points = rates.shape[1]
+        x0 = np.full(rates.shape, float(self.message_flits))
         # Near saturation the iteration's contraction rate approaches 1
         # (critical slowing down), so a strict 1e-12 tolerance can exhaust
         # any budget while the answer is already correct to far better than
@@ -507,7 +525,7 @@ class ChannelGraphModel:
         if not result.converged:
             if not result.residual <= residual_floor:
                 worst = result.worst_component
-                channel = names[worst] if worst is not None else None
+                channel = self._names[worst] if worst is not None else None
                 active = int(np.sum(np.all(np.isfinite(result.value), axis=0)))
                 raise ConvergenceError(
                     f"cyclic channel-graph solve did not converge"
@@ -521,14 +539,22 @@ class ChannelGraphModel:
                     worst_channel=channel,
                 )
             METRICS.add("fixed_point.exhausted_accepted")
-        solved = {}
-        for n in names:
-            stage = self.stages[n]
-            service = result.value[idx[n]]
-            solved[n] = StageBatchSolution(
-                service, self._wait_batch(stage, service, rates[n])
-            )
-        return solved
+        return result.value
+
+    def _span(self, scales: np.ndarray):
+        return trace_span("solve/stage_graph", stages=len(self._names), points=scales.size)
+
+    def solve_batch(self, rate_scales) -> dict[str, StageBatchSolution]:
+        """Resolve every stage over a vector of traffic scale factors.
+
+        Channel rates are linear in the injection rate, so one stage graph
+        built at a reference workload describes a whole load sweep: entry
+        ``k`` of the result scales every stage's rate by ``rate_scales[k]``.
+        """
+        scales = as_injection_rates(rate_scales)
+        with self._span(scales):
+            service, wait, _ = self._solve(scales)
+        return {n: StageBatchSolution(service[i], wait[i]) for i, n in enumerate(self._names)}
 
     def solve(self) -> dict[str, StageSolution]:
         """Resolve every stage's (service, wait) pair at the built workload.
@@ -567,47 +593,38 @@ class ChannelGraphModel:
             )
         return reference
 
-    def _finite_mask(self, solved: dict[str, StageBatchSolution]) -> np.ndarray:
-        """Per-point steady state over *all* stages (matching the closed-form
-        models, whose solutions count as saturated when any channel class
-        diverged)."""
-        masks = [s.finite_mask for s in solved.values()]
-        out = masks[0].copy()
-        for m in masks[1:]:
-            out &= m
-        return out
-
-    def _latency_from(self, solved: dict[str, StageBatchSolution]) -> np.ndarray:
+    def _latency_from(self, service: np.ndarray, wait: np.ndarray, finite) -> np.ndarray:
         """Traffic-weighted Eq. 25 over the entry points (``inf`` past saturation)."""
-        finite = self._finite_mask(solved)
-        total = np.zeros_like(finite, dtype=float)
         with np.errstate(invalid="ignore"):
-            for e in self.entries:
-                stage = solved[e.name]
-                total = total + e.weight * (stage.wait + stage.service + e.distance)
+            total = sum(w * (wait[i] + service[i] + d) for i, w, d in self._entry_rows)
         return np.where(finite, total - 1.0, np.inf)
+
+    def _stable_from(self, service, finite, rates, reference: float) -> np.ndarray:
+        """Eq. 26 per point: steady state, and every entry keeps up with its rate."""
+        with np.errstate(invalid="ignore"):
+            for i, _, _ in self._entry_rows:
+                finite &= self._rate[i] * rates / reference * service[i] < 1.0
+        return finite
+
+    def _one_point(self) -> tuple[np.ndarray, np.ndarray, np.bool_]:
+        """The cached :meth:`solve` as positional one-point arrays."""
+        solved = self.solve()
+        service = np.array([solved[name].service for name in self._names])
+        wait = np.array([solved[name].wait for name in self._names])
+        return service, wait, np.all(np.isfinite(wait))
 
     def latency(self) -> float:
         """Average latency via Eqs. 1-2 (``inf`` past saturation).
 
-        With several entry points this is the traffic-weighted mean of the
-        per-source latencies ``W_e + x_e + D_e - 1``.
+        The traffic-weighted mean of the per-source latencies
+        ``W_e + x_e + D_e - 1``, read from the cached :meth:`solve`.
         """
-        solved = self.solve()
-        if any(not s.finite for s in solved.values()):
-            return math.inf
-        return (
-            sum(
-                e.weight * (solved[e.name].wait + solved[e.name].service + e.distance)
-                for e in self.entries
-            )
-            - 1.0
-        )
+        return float(self._latency_from(*self._one_point()))
 
     def injection_service(self) -> float:
         """Traffic-weighted entry service time (drives the Eq. 26 test)."""
-        solved = self.solve()
-        return sum(e.weight * solved[e.name].service for e in self.entries)
+        service = self._one_point()[0]
+        return float(sum(w * service[i] for i, w, _ in self._entry_rows))
 
     def latency_batch(self, loads, message_flits: int | None = None) -> np.ndarray:
         """Average latency over a vector of injection rates in one pass.
@@ -617,11 +634,12 @@ class ChannelGraphModel:
         default the entry stage's built rate, which therefore must be
         positive).  ``message_flits``, when given, must match the graph's
         fixed worm length — the parameter exists for signature parity with
-        the closed-form models' ``latency_batch``.
+        the other models' ``latency_batch``.
         """
         self._check_flits(message_flits)
-        rates = as_injection_rates(loads)
-        return self._latency_from(self.solve_batch(rates / self._reference_rate()))
+        scales = as_injection_rates(loads) / self._reference_rate()
+        with self._span(scales):
+            return self._latency_from(*self._solve(scales))
 
     def stability_batch(self, loads, message_flits: int | None = None) -> np.ndarray:
         """Vectorized Eq. 26 stability test (one bool per injection rate).
@@ -636,24 +654,16 @@ class ChannelGraphModel:
         self._check_flits(message_flits)
         rates = as_injection_rates(loads)
         reference = self._reference_rate()
-        solved = self.solve_batch(rates / reference)
-        ok = self._finite_mask(solved)
-        for e in self.entries:
-            stage = solved[e.name]
-            entry_rate = self.stages[e.name].rate_per_server * rates / reference
-            with np.errstate(invalid="ignore"):
-                keeps_up = entry_rate * stage.service < 1.0
-            ok &= np.where(np.isfinite(stage.service), keeps_up, False)
-        return ok
+        with self._span(rates):
+            service, _, finite = self._solve(rates / reference)
+        return self._stable_from(service, finite, rates, reference)
 
     def is_stable(self, workload: Workload) -> bool:
         """Eq. 26 stability of one operating point (enables saturation search)."""
         if not isinstance(workload, Workload):
             raise ConfigurationError(f"workload must be a Workload, got {workload!r}")
         self._check_flits(workload.message_flits)
-        return bool(
-            self.stability_batch(np.array([workload.injection_rate]))[0]
-        )
+        return bool(self.stability_batch(np.array([workload.injection_rate]))[0])
 
 
 # --- ready-made stage graphs -------------------------------------------------------
@@ -685,14 +695,13 @@ def generalized_fattree_stage_graph(
     """Express a generalized (c, p) fat-tree in the stage-graph form.
 
     Stage names: ``up0 .. up{n-1}`` and ``down0 .. down{n-1}``, indexed by
-    the lower level of the channel.  Up channels pool ``p`` links into one
-    M/G/p queue, the turn-down branch targets one of ``c - 1`` sibling
-    channels, and the down fan-out splits over ``c`` children.  Solving
-    this graph reproduces
-    :class:`~repro.core.generalized_model.GeneralizedFatTreeModel` to
-    machine precision (asserted in the test suite), which certifies that
-    the closed-form sweep is an instance of the paper's Section-2
-    recursion.
+    the lower level of the channel.  Solving it *is* Section 3's closed form
+    (Eqs. 16-24), which
+    :class:`~repro.core.generalized_model.GeneralizedFatTreeModel` answers
+    from: down channels fan out over ``c`` children; up channels pool ``p``
+    links into one M/G/p queue fed ``p * lambda`` (the published correction
+    to Eqs. 21/23) or turn down into one of ``c - 1`` siblings; the
+    injection channel ``up0`` stays M/G/1 (Eq. 24).
     """
     variant = variant or ModelVariant.paper()
     check_fattree_shape(children, parents, levels)

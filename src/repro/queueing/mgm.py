@@ -113,9 +113,8 @@ def mgm_waiting_time_batch(
 
     Same two-moment scaling of the exact M/M/m wait, broadcast over a load
     axis; saturated and non-finite entries evaluate to ``inf`` per point.
-    ``servers == 1`` is evaluated as Pollaczek–Khinchine
-    (:func:`~repro.queueing.mg1.mg1_waiting_time_batch`), which the Erlang-C
-    form equals up to rounding.
+    ``servers == 1`` is Pollaczek–Khinchine (:func:`mg1_waiting_time_batch`),
+    which the Erlang-C form equals up to rounding.
     """
     if servers == 1:
         return mg1_waiting_time_batch(total_arrival_rate, mean_service, scv)

@@ -48,6 +48,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "flit load" in out
 
+    @pytest.mark.parametrize("flits", ["16,abc", ",", ""])
+    def test_saturation_bad_flits_is_clean_error(self, capsys, flits):
+        assert main(["saturation", "-n", "16", "-f", flits]) == 2
+        err = capsys.readouterr().err
+        assert "error: --flits expects comma-separated integers" in err
+        assert "Traceback" not in err
+
     def test_model_with_pattern(self, capsys):
         assert main(
             [
@@ -277,6 +284,10 @@ class TestJsonEverywhere:
             capsys, ["saturation", "-n", "16", "-f", "16,32", "--json"]
         )
         assert [row["message_flits"] for row in data["saturation"]] == [16, 32]
+
+    def test_saturation_tolerates_trailing_comma(self, capsys):
+        data = self._json_out(capsys, ["saturation", "-n", "16", "-f", "16,", "--json"])
+        assert [row["message_flits"] for row in data["saturation"]] == [16]
         assert all(row["flit_load"] > 0 for row in data["saturation"])
 
     def test_simulate_json(self, capsys):

@@ -376,25 +376,18 @@ class TestSweepBatchDispatch:
 
 
 class TestVectorizedSaturation:
-    class CountingModel(ButterflyFatTreeModel):
-        """Counts batched solves — the unit of model work after the refactor."""
-
-        def __init__(self, n):
-            super().__init__(n)
-            self.solve_calls = 0
-
-        def solve_batch(self, rates, flits):
-            self.solve_calls += 1
-            return super().solve_batch(rates, flits)
-
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_same_flit_load_with_fewer_solves(self, n):
-        model = self.CountingModel(n)
-        vectorized = saturation_injection_rate(model, 32)
-        vectorized_solves = model.solve_calls
-        model.solve_calls = 0
-        scalar = saturation_injection_rate(model, 32, stable=model.is_stable)
-        scalar_solves = model.solve_calls
+        """Batched solves (the ``solve.batch`` counter) are the unit of model work."""
+        from repro.obs import METRICS
+
+        model = ButterflyFatTreeModel(n)
+        with METRICS.collect() as got:
+            vectorized = saturation_injection_rate(model, 32)
+        with METRICS.collect() as again:
+            scalar = saturation_injection_rate(model, 32, stable=model.is_stable)
+        vectorized_solves = got.data["counters"]["solve.batch"]
+        scalar_solves = again.data["counters"]["solve.batch"]
         assert vectorized.flit_load == pytest.approx(scalar.flit_load, rel=1e-6)
         assert vectorized_solves < scalar_solves
 

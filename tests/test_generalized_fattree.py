@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,3 +177,47 @@ class TestGeneralizedStageGraph:
             4, 3, 2, wl, ModelVariant.naive()
         ).latency()
         assert naive_generic == pytest.approx(naive_closed, rel=1e-12)
+
+    @given(
+        shape=st.sampled_from(
+            [
+                (c, p, n)
+                for c in range(2, 9)
+                for p in range(1, 5)
+                for n in range(1, 13)
+                if c**n <= 4096
+            ]
+        ),
+        variant=st.sampled_from(
+            [
+                "paper",
+                "no_multiserver",
+                "no_blocking_correction",
+                "naive",
+                "deterministic_scv",
+                "exponential_scv",
+                "conditional_up",
+            ]
+        ),
+        flits=st.sampled_from([16, 32, 64]),
+        reference=st.floats(1e-6, 0.1),
+        top=st.floats(0.05, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_closed_form_equals_stage_graph(
+        self, shape, variant, flits, reference, top
+    ):
+        """The model answers from the stage graph built at unit rate; a graph
+        built at any other reference rate scales to the same latencies."""
+        from repro import generalized_fattree_stage_graph
+
+        c, p, n = shape
+        preset = getattr(ModelVariant, variant)()
+        rates = np.linspace(0.0, top, 24) / flits
+        closed = GeneralizedFatTreeModel(c, p, n, preset).latency_batch(rates, flits)
+        graph = generalized_fattree_stage_graph(
+            c, p, n, Workload(flits, reference), preset
+        ).latency_batch(rates)
+        finite = np.isfinite(closed)
+        assert np.array_equal(np.isfinite(graph), finite)
+        np.testing.assert_allclose(graph[finite], closed[finite], rtol=1e-12, atol=0)

@@ -280,6 +280,26 @@ class TestRunTelemetry:
         assert h["fixed_point.residual"]["total"] == math.inf
         assert math.isnan(h["weird"]["mean"])
 
+    def test_bft_grid_counts_saturated_points(self):
+        from repro import ButterflyFatTreeModel
+
+        rates = np.linspace(0.0, 1.0, 21) / 16  # flit loads 0..1 cross saturation
+        with METRICS.collect() as got:
+            latencies = ButterflyFatTreeModel(64).latency_batch(rates, 16)
+        saturated = int(np.count_nonzero(np.isinf(latencies)))
+        assert 0 < saturated < rates.size
+        counters = got.data["counters"]
+        assert counters["solve.batch"] == 1
+        assert counters["solve.points"] == rates.size
+        assert counters["solve.saturated_points"] == saturated
+
+    def test_hypercube_run_counts_saturated_points(self):
+        # The saturation search probes past the knee, so a stage-graph run
+        # reports wasted (saturated) points next to its solved points.
+        r = Runner().run(tiny_scenario(topology="hypercube"))
+        counters = r.metrics["observability"]["counters"]
+        assert counters["solve.points"] > counters["solve.saturated_points"] > 0
+
     def test_model_and_batch_backends_report_identical_counters(self):
         # At sweep_points=0 both backends perform the same one-point solve
         # plus the same backend-invariant saturation search, so the solver

@@ -29,6 +29,7 @@ from repro.core import (
     saturation_injection_rate,
 )
 from repro.core.rates import bft_channel_rates, bft_channel_rates_for_matrix
+from repro.obs import METRICS
 from repro.topology.base import DOWN, UP
 from repro.topology.properties import bft_average_distance
 from repro.traffic import bft_channel_flows, single_path_flows
@@ -176,21 +177,15 @@ class TestPatternModels:
         assert f"inj0" not in names  # node 0 is a transpose fixed point
         assert len(names) == 56  # 64 - 8 fixed points
 
-    def test_spec_sweep_is_batched(self, monkeypatch):
+    def test_spec_sweep_is_batched(self):
         """A non-uniform sweep must be one batch solve, not per-point work."""
-        calls = {"n": 0}
-        original = ChannelGraphModel.solve_batch
-
-        def counting(self, rate_scales):
-            calls["n"] += 1
-            return original(self, rate_scales)
-
-        monkeypatch.setattr(ChannelGraphModel, "solve_batch", counting)
         model = ButterflyFatTreeModel(N)
         grid = np.linspace(0.01, 0.08, 24)
-        curve = latency_sweep(model, FLITS, grid, spec=HotspotSpec(fraction=0.05))
+        with METRICS.collect() as got:
+            curve = latency_sweep(model, FLITS, grid, spec=HotspotSpec(fraction=0.05))
         assert curve.latencies.shape == (24,)
-        assert calls["n"] == 1
+        assert got.data["counters"]["solve.batch"] == 1
+        assert got.data["counters"]["solve.points"] == 24
 
     def test_load_grid_with_spec_uses_pattern_saturation(self):
         model = ButterflyFatTreeModel(N)
