@@ -284,6 +284,7 @@ class TestJsonEverywhere:
             capsys, ["saturation", "-n", "16", "-f", "16,32", "--json"]
         )
         assert [row["message_flits"] for row in data["saturation"]] == [16, 32]
+        assert all(row["flit_load"] > 0 for row in data["saturation"])
 
     def test_saturation_tolerates_trailing_comma(self, capsys):
         data = self._json_out(capsys, ["saturation", "-n", "16", "-f", "16,", "--json"])
