@@ -158,20 +158,19 @@ class GeneralizedFatTreeModel:
         shape ``(levels, K)`` (``inf`` past saturation); column ``k`` is
         bit-identical to the scalar solve at ``injection_rates[k]``.
         """
-        graph = self._graph(message_flits)
         inj = as_injection_rates(injection_rates)
-        service, wait, finite = graph._solve(inj)
-        up = [graph._position[f"up{l}"] for l in range(self.levels)]
-        down = [graph._position[f"down{l}"] for l in range(self.levels)]
+        names = [f"{kind}{l}" for kind in ("up", "down") for l in range(self.levels)]
+        rate, service, wait, latencies = self._graph(message_flits).stage_rows(inj, names)
+        up, down = slice(0, self.levels), slice(self.levels, None)
         return BatchSolution(
             message_flits=message_flits,
             injection_rates=inj,
-            injection_service=service[up[0]],
-            injection_wait=wait[up[0]],
-            latencies=graph._latency_from(service, wait, finite),
+            injection_service=service[0],
+            injection_wait=wait[0],
+            latencies=latencies,
             average_distance=self.average_distance,
             details={
-                "rate": np.multiply.outer(graph._rate[up], inj),
+                "rate": rate[up],
                 "down_service": service[down],
                 "down_wait": wait[down],
                 "up_service": service[up],
@@ -208,15 +207,11 @@ class GeneralizedFatTreeModel:
         Entry ``k`` equals ``latency(Workload(message_flits, loads[k]))``
         exactly.
         """
-        graph = self._graph(message_flits)
-        return graph._latency_from(*graph._solve(as_injection_rates(loads)))
+        return self._graph(message_flits).latency_batch(loads)
 
     def stability_batch(self, loads, message_flits: int) -> np.ndarray:
         """Vectorized Eq. 26 stability test (one bool per injection rate)."""
-        graph = self._graph(message_flits)
-        rates = as_injection_rates(loads)
-        service, _, finite = graph._solve(rates)
-        return graph._stable_from(service, finite, rates, 1.0)  # built at unit rate
+        return self._graph(message_flits).stability_batch(loads)
 
     def latency_at_flit_load(self, flit_load: float, message_flits: int) -> float:
         """Latency with load given in Figure-3 units (flits/cycle/PE)."""
@@ -230,8 +225,7 @@ class GeneralizedFatTreeModel:
         """True when the model admits a steady state at ``workload`` (Eq. 26)."""
         if not isinstance(workload, Workload):
             raise ConfigurationError(f"workload must be a Workload, got {workload!r}")
-        rate = np.array([workload.injection_rate])
-        return bool(self.stability_batch(rate, workload.message_flits)[0])
+        return bool(self.stability_batch(workload.injection_rate, workload.message_flits)[0])
 
     def describe(self) -> str:
         """One-line human-readable summary."""

@@ -36,6 +36,7 @@ converge).  The scalar ``solve()`` is a cached one-point batch, which
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -309,6 +310,7 @@ class ChannelGraphModel:
         # The graph is immutable, so the unit-scale solution is computed at
         # most once per instance (latency() and injection_service() share it).
         self._solution: dict[str, StageSolution] | None = None
+        self._traced = True  # see generalized_fattree_stage_graph
 
     # --- structure ------------------------------------------------------------
 
@@ -328,8 +330,7 @@ class ChannelGraphModel:
         self._position = {name: i for i, name in enumerate(self._names)}
         stages = [self.stages[name] for name in self._names]
         self._rate = np.array([s.rate_per_server for s in stages])
-        entries = self.entries
-        self._entry_rows = [(self._position[e.name], e.weight, e.distance) for e in entries]
+        self._entry_rows = [(self._position[e.name], e.weight, e.distance) for e in self.entries]
         edges = [
             (i, self._position[t.target], t.probability,
              t.effective_queue_probability, self.stages[t.target].servers)
@@ -451,10 +452,10 @@ class ChannelGraphModel:
 
     def _blocking(self, rates: np.ndarray) -> np.ndarray:
         """Eq. 10 factor of every transition (needs only rates; inputs checked at build)."""
+        if not self.variant.blocking_correction:
+            return np.ones((self._source.size, rates.shape[1]))
         m = self._target_servers
         inc, out = rates[self._source], m * rates[self._target]
-        if not self.variant.blocking_correction:
-            return np.ones_like(inc)
         return _blocking_factor(m, inc, out, self._queue_probability)
 
     def _mix(self, wave: _Wave, blocks, service, wait, out: np.ndarray) -> None:
@@ -542,6 +543,8 @@ class ChannelGraphModel:
         return result.value
 
     def _span(self, scales: np.ndarray):
+        if not self._traced:
+            return contextlib.nullcontext()
         return trace_span("solve/stage_graph", stages=len(self._names), points=scales.size)
 
     def solve_batch(self, rate_scales) -> dict[str, StageBatchSolution]:
@@ -551,10 +554,21 @@ class ChannelGraphModel:
         built at a reference workload describes a whole load sweep: entry
         ``k`` of the result scales every stage's rate by ``rate_scales[k]``.
         """
-        scales = as_injection_rates(rate_scales)
-        with self._span(scales):
-            service, wait, _ = self._solve(scales)
+        _, service, wait, _ = self.stage_rows(rate_scales, self._names)
         return {n: StageBatchSolution(service[i], wait[i]) for i, n in enumerate(self._names)}
+
+    def stage_rows(self, rate_scales, names) -> tuple[np.ndarray, ...]:
+        """One solve read as ``(rate, service, wait, latency)`` of the named stages.
+
+        ``(len(names), K)`` rows of per-server rate and the two moments
+        (``inf`` where diverged), and the Eq. 25 latency per scale factor.
+        """
+        scales = as_injection_rates(rate_scales)
+        rows = [self._position[name] for name in names]
+        with self._span(scales):
+            service, wait, finite = self._solve(scales)
+        rate = np.multiply.outer(self._rate[rows], scales)
+        return rate, service[rows], wait[rows], self._latency_from(service, wait, finite)
 
     def solve(self) -> dict[str, StageSolution]:
         """Resolve every stage's (service, wait) pair at the built workload.
@@ -581,11 +595,7 @@ class ChannelGraphModel:
             )
 
     def _reference_rate(self) -> float:
-        reference = (
-            self.reference_rate
-            if self.reference_rate is not None
-            else self.stages[self.entry].rate_per_server
-        )
+        reference = self.reference_rate or self.stages[self.entry].rate_per_server
         if reference <= 0.0:
             raise ConfigurationError(
                 "load-grid evaluation needs a graph built at a positive "
@@ -599,18 +609,10 @@ class ChannelGraphModel:
             total = sum(w * (wait[i] + service[i] + d) for i, w, d in self._entry_rows)
         return np.where(finite, total - 1.0, np.inf)
 
-    def _stable_from(self, service, finite, rates, reference: float) -> np.ndarray:
-        """Eq. 26 per point: steady state, and every entry keeps up with its rate."""
-        with np.errstate(invalid="ignore"):
-            for i, _, _ in self._entry_rows:
-                finite &= self._rate[i] * rates / reference * service[i] < 1.0
-        return finite
-
     def _one_point(self) -> tuple[np.ndarray, np.ndarray, np.bool_]:
         """The cached :meth:`solve` as positional one-point arrays."""
         solved = self.solve()
-        service = np.array([solved[name].service for name in self._names])
-        wait = np.array([solved[name].wait for name in self._names])
+        service, wait = np.array([[solved[n].service, solved[n].wait] for n in self._names]).T
         return service, wait, np.all(np.isfinite(wait))
 
     def latency(self) -> float:
@@ -656,14 +658,16 @@ class ChannelGraphModel:
         reference = self._reference_rate()
         with self._span(rates):
             service, _, finite = self._solve(rates / reference)
-        return self._stable_from(service, finite, rates, reference)
+        with np.errstate(invalid="ignore"):
+            for i, _, _ in self._entry_rows:
+                finite &= self._rate[i] * rates / reference * service[i] < 1.0
+        return finite
 
     def is_stable(self, workload: Workload) -> bool:
         """Eq. 26 stability of one operating point (enables saturation search)."""
         if not isinstance(workload, Workload):
             raise ConfigurationError(f"workload must be a Workload, got {workload!r}")
-        self._check_flits(workload.message_flits)
-        return bool(self.stability_batch(np.array([workload.injection_rate]))[0])
+        return bool(self.stability_batch(workload.injection_rate, workload.message_flits)[0])
 
 
 # --- ready-made stage graphs -------------------------------------------------------
@@ -737,13 +741,15 @@ def generalized_fattree_stage_graph(
                 transitions=tuple(transitions),
             )
         )
-    return ChannelGraphModel(
+    graph = ChannelGraphModel(
         stages,
         message_flits=workload.message_flits,
         entry="up0",
         average_distance=generalized_average_distance(c, n),
         variant=variant,
     )
+    graph._traced = False  # a fat-tree solve is the closed form: no solve span
+    return graph
 
 
 def hypercube_stage_graph(
