@@ -19,7 +19,10 @@ untouched.
 The headline numbers guard the batch solver engine: a 64-point N=1024 load
 sweep solved in one ``latency_batch`` pass versus the same grid looped
 through scalar ``latency`` calls, the vectorized Eq. 26 saturation search
-versus the scalar bracket-plus-bisection, and the design-space explorer's
+versus the scalar bracket-plus-bisection, one stage-graph solve of each
+kind (``stage_graph_acyclic``: an 8-cube over 64 loads;
+``stage_graph_cyclic``: the fixed point of the ``up:0:1``-faulted 16-PE
+torus over an 8-point sweep), and the design-space explorer's
 candidate throughput (candidates evaluated per second, cold metrics
 cache).  The serve/registry entries (from :mod:`bench_serve`) track the
 scenario service: a cache hit versus a cold solve, and a selective
@@ -40,9 +43,12 @@ from typing import Callable
 import numpy as np
 
 from repro import ButterflyFatTree, ButterflyFatTreeModel, Workload
-from repro.core.generic_model import bft_stage_graph
-from repro.obs import METRICS
+from repro.core.generic_model import bft_stage_graph, hypercube_stage_graph
+from repro.core.sweep import latency_sweep
 from repro.core.throughput import saturation_injection_rate
+from repro.design.families import design_family
+from repro.faults import FaultSpec
+from repro.obs import METRICS
 from repro.design import (
     DesignSpace,
     Requirements,
@@ -123,6 +129,23 @@ def bench_generic_graph(cfg: BenchConfig) -> Callable[[], object]:
     return lambda: bft_stage_graph(cfg.sweep_processors, wl).latency()
 
 
+def bench_stage_graph_acyclic(cfg: BenchConfig) -> Callable[[], object]:
+    """One acyclic stage-graph solve: hypercube d = 8, 64 loads past saturation."""
+    graph = hypercube_stage_graph(8, Workload(16, 0.001))
+    loads = np.linspace(0.005, 0.5, 64) / 16
+    return lambda: graph.latency_batch(loads)
+
+
+def bench_stage_graph_cyclic(cfg: BenchConfig) -> Callable[[], object]:
+    """One cyclic stage-graph solve: the up:0:1-faulted 16-PE torus, an
+    8-point sweep (one batched fixed point)."""
+    torus = design_family("kary-ncube").faulted_evaluator(
+        {"radix": 4, "dimensions": 2}, None, 16, FaultSpec(dead_links=("up:0:1",))
+    )
+    grid = np.linspace(0.01, 0.12, 8)
+    return lambda: latency_sweep(torus, 16, grid)
+
+
 def bench_topology_build(cfg: BenchConfig) -> Callable[[], object]:
     return lambda: ButterflyFatTree(cfg.sweep_processors)
 
@@ -198,6 +221,8 @@ BENCHES: dict[str, Callable[[BenchConfig], Callable[[], object]]] = {
     "saturation_vectorized": bench_saturation_vectorized,
     "saturation_scalar": bench_saturation_scalar,
     "generic_graph": bench_generic_graph,
+    "stage_graph_acyclic": bench_stage_graph_acyclic,
+    "stage_graph_cyclic": bench_stage_graph_cyclic,
     "topology_build": bench_topology_build,
     "design_explore": bench_design_explore,
     "serve_cold_solve": bench_serve_cold_solve,

@@ -37,8 +37,8 @@ from ..config import Workload
 from ..core.batch import as_injection_rates
 from ..core.variants import ModelVariant
 from ..errors import ConfigurationError
-from ..queueing.distributions import ScvMode, scv_for_mode_batch
-from ..queueing.mg1 import mg1_waiting_time_batch
+from ..queueing.distributions import ScvMode, _scv
+from ..queueing.mgm import _mgm_wait
 from ..topology.properties import kary_ncube_average_distance
 
 __all__ = ["DallyKaryNCubeModel"]
@@ -95,9 +95,9 @@ class DallyKaryNCubeModel:
         return injection_rate * (self.radix - 1) / 2.0
 
     def _hop_wait_batch(self, rates: np.ndarray, message_flits: int) -> np.ndarray:
+        """M/G/1 waits at service ``L`` (the stage-graph solver's kernel; caller's errstate)."""
         service = float(message_flits)
-        scv = scv_for_mode_batch(self.scv_mode, np.full_like(rates, service), message_flits)
-        return mg1_waiting_time_batch(rates, service, scv)
+        return _mgm_wait(rates, service, 1, _scv(self.scv_mode, service, message_flits))
 
     # --- public API ------------------------------------------------------------------
 
@@ -113,8 +113,9 @@ class DallyKaryNCubeModel:
             raise ConfigurationError("message_flits must be a positive integer")
         inj = as_injection_rates(loads)
         lam_c = inj * (self.radix - 1) / 2.0
-        w_hop = self._hop_wait_batch(lam_c, message_flits)
-        w_terminal = self._hop_wait_batch(inj, message_flits)
+        with np.errstate(all="ignore"):
+            w_hop = self._hop_wait_batch(lam_c, message_flits)
+            w_terminal = self._hop_wait_batch(inj, message_flits)
         # Same operation order as the historical scalar evaluation (eject
         # and inject waits added separately), so recorded values are stable.
         contention = self.network_hops * w_hop + w_terminal + w_terminal

@@ -31,6 +31,15 @@ __all__ = [
 ]
 
 
+def _charged(p_block, wait, free):
+    """Eq. 9 with the mask ``free = (p_block == 0)`` given (unchecked core).
+
+    Arrays need the caller's ``np.errstate``; the stage-graph solver
+    computes ``free`` once per solve.
+    """
+    return np.where(free, 0.0, p_block * wait)
+
+
 def charged_wait(p_block: np.ndarray, wait: np.ndarray) -> np.ndarray:
     """Vectorized blocking charge ``P_{i|j} * W_j`` (Eq. 9).
 
@@ -39,8 +48,7 @@ def charged_wait(p_block: np.ndarray, wait: np.ndarray) -> np.ndarray:
     analogue of the scalar solvers' ``charge`` helper).
     """
     with np.errstate(invalid="ignore"):
-        product = p_block * wait
-    return np.where(np.asarray(p_block) == 0.0, 0.0, product)
+        return _charged(p_block, wait, np.asarray(p_block) == 0.0)
 
 
 def as_injection_rates(loads) -> np.ndarray:

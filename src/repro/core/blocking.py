@@ -104,14 +104,15 @@ def blocking_probability_batch(
     out = np.asarray(outgoing_total_rate, dtype=float)
     if np.any(inc < 0) or np.any(out < 0):
         raise ConfigurationError("rates must be non-negative")
-    return _blocking_factor(servers, inc, out, routing_probability)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _blocking_factor(servers, inc, out, routing_probability)
 
 
 def _blocking_factor(servers, incoming_rate, outgoing_total_rate, routing_probability):
-    """Eq. 10 on checked inputs; array servers and probabilities broadcast too."""
+    """Eq. 10 on checked inputs (caller's ``np.errstate``); array servers and
+    probabilities broadcast too."""
     # In place, so a whole stage graph's factors need few temporary arrays.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.asarray(servers * (incoming_rate / outgoing_total_rate) * routing_probability)
+    p = np.asarray(servers * (incoming_rate / outgoing_total_rate) * routing_probability)
     np.subtract(1.0, p, out=p)
     np.clip(p, 0.0, 1.0, out=p)
     np.copyto(p, 1.0, where=outgoing_total_rate == 0.0)

@@ -18,9 +18,14 @@ channels.  This module implements that general recursion over an explicit
 
 Each :class:`ChannelGraphModel` compiles its stages once into a positional
 plan, and one Eq. 11 kernel runs it: a single reverse topological sweep on
-an acyclic graph (fat-trees, e-cube hypercubes), a fixed point
-(:func:`repro.util.fixedpoint.fixed_point_batch`) on a cyclic one.  This is
-the repo's only solver of the recursion.  :func:`generalized_fattree_stage_graph`
+an acyclic graph (fat-trees, e-cube hypercubes), one wave of stages per
+depth, or a fixed point (:func:`repro.util.fixedpoint.fixed_point_batch`)
+over one wave on a cyclic graph.  Per wave the kernel mixes the targets'
+service times and charged waits (Eqs. 3, 9, 11) and then evaluates the
+wave's M/G/m waits (Eqs. 4-8) with the unchecked cores of
+:mod:`repro.queueing`, under one ``np.errstate`` per solve; ``inf``
+propagates through the ``rho < 1`` tests rather than through masks.  This
+is the repo's only solver of the recursion.  :func:`generalized_fattree_stage_graph`
 derives the paper's Section-3 fat-tree equations from it (the fat-tree
 model answers from that graph; :func:`bft_stage_graph` is its ``(4, 2)``
 instance), and :func:`hypercube_stage_graph` applies it to a binary
@@ -48,12 +53,12 @@ from ..analysis.findings import ERROR, Finding
 from ..config import Workload
 from ..errors import ConfigurationError, ConvergenceError
 from ..obs import METRICS, trace_span
-from ..queueing.distributions import scv_for_mode_batch
-from ..queueing.mgm import mgm_waiting_time_batch
+from ..queueing.distributions import _scv
+from ..queueing.mgm import _mgm_wait
 from ..topology.properties import generalized_average_distance, hypercube_average_distance
 from ..util.fixedpoint import fixed_point_batch
 from ..util.validation import check_fattree_shape, check_power_of
-from .batch import as_injection_rates, charged_wait
+from .batch import _charged, as_injection_rates
 from .blocking import _blocking_factor
 from .rates import climb_probability, generalized_channel_rates
 from .variants import ModelVariant
@@ -209,7 +214,58 @@ class _Wave(NamedTuple):
 
     stages: slice  # plan positions of its stages
     edges: slice  # plan positions of their transitions
+    targets: np.ndarray  # target position of each of those transitions
+    fanout: int | None  # transitions per stage, None when stages differ
     groups: tuple[tuple[int, slice], ...]  # (servers, stage slice) per server count
+
+
+class _Kernel:
+    """The Eq. 11 kernel of one solve: the compiled plan plus the solve's constants.
+
+    Built once per solve, inside the solve's one ``np.errstate``: the
+    Eq. 10 factor of every transition, the mask of factors that are zero
+    (Eq. 9 then charges no wait, even a diverged one) and every stage's
+    total arrival rate ``m * lambda``.  The acyclic sweep and the cyclic
+    fixed point both run :meth:`mix` and :meth:`wait`.
+    """
+
+    def __init__(self, model: "ChannelGraphModel", rates: np.ndarray) -> None:
+        self.model = model
+        self.blocks = model._blocking(rates)
+        self.free = self.blocks == 0.0
+        self.total = model._servers * rates
+        self.scv_mode = model.variant.scv_mode
+
+    def mix(self, wave: _Wave, service, wait, out: np.ndarray) -> None:
+        """Write the wave's Eq. 11 service-time mixtures into ``out``.
+
+        Each stage's terms are summed left to right in transition order:
+        as one add per transition over a ``(stages, fanout, K)`` view when
+        every stage of the wave has the same fanout (``base`` is 0 for a
+        stage with transitions), by ``np.add.at`` otherwise.
+        """
+        plan, rows, e, t = self.model, wave.stages, wave.edges, wave.targets
+        if wave.fanout == 0:
+            out[rows] = plan._base[rows]
+            return
+        charge = _charged(self.blocks[e], wait[t], self.free[e])
+        terms = plan._probability[e] * (service[t] + charge)
+        if wave.fanout is None:
+            out[rows] = plan._base[rows]
+            np.add.at(out, plan._source[e], terms)
+            return
+        terms = terms.reshape(-1, wave.fanout, terms.shape[1])
+        total = terms[:, 0]
+        for j in range(1, wave.fanout):
+            total = total + terms[:, j]
+        out[rows] = total
+
+    def wait(self, wave: _Wave, service, out: np.ndarray) -> None:
+        """Write the wave's M/G/m waits into ``out`` (``inf`` where diverged)."""
+        flits = self.model.message_flits
+        for m, rows in wave.groups:
+            x = service[rows]
+            out[rows] = _mgm_wait(self.total[rows], x, m, _scv(self.scv_mode, x, flits))
 
 
 def _runs(keys, start: int) -> list[tuple]:
@@ -320,7 +376,9 @@ class ChannelGraphModel:
         Stages are ordered by depth (a cyclic graph is one depth), servers
         and name, so waves and server groups are slices.  Per stage: rate
         and servers; per nonzero transition, grouped by source: target
-        position, probability, queue probability and target servers.
+        position, probability, queue probability and target servers.  Per
+        wave: its transitions' targets, and its fanout when every stage of
+        the wave has the same number of transitions.
         """
         depth = self._depths()
         self._acyclic = len(depth) == len(self.stages)
@@ -330,6 +388,7 @@ class ChannelGraphModel:
         self._position = {name: i for i, name in enumerate(self._names)}
         stages = [self.stages[name] for name in self._names]
         self._rate = np.array([s.rate_per_server for s in stages])
+        self._servers = np.array([float(s.servers) for s in stages])[:, np.newaxis]
         self._entry_rows = [(self._position[e.name], e.weight, e.distance) for e in self.entries]
         edges = [
             (i, self._position[t.target], t.probability,
@@ -347,25 +406,35 @@ class ChannelGraphModel:
         terminal = ~np.isin(np.arange(len(stages)), self._source)
         self._base = np.where(terminal, float(self.message_flits), 0.0)[:, np.newaxis]
         bounds = np.searchsorted(self._source, np.arange(len(stages) + 1))
-        self._waves = [
-            _Wave(rows, slice(bounds[rows.start], bounds[rows.stop]),
-                  tuple(_runs([s.servers for s in stages[rows]], rows.start)))
-            for _, rows in _runs([depth[name] for name in self._names], 0)
-        ]
+        self._waves = []
+        for _, rows in _runs([depth[name] for name in self._names], 0):
+            edges = slice(bounds[rows.start], bounds[rows.stop])
+            # Fat-tree and hypercube waves have one fanout per wave, so their
+            # Eq. 11 sums need no np.add.at; pattern and fault graphs may not.
+            fanouts = set(np.diff(bounds[rows.start:rows.stop + 1]).tolist())
+            self._waves.append(_Wave(
+                rows, edges, self._target[edges],
+                fanouts.pop() if len(fanouts) == 1 else None,
+                tuple(_runs([s.servers for s in stages[rows]], rows.start)),
+            ))
 
     def _depths(self) -> dict[str, int]:
-        """Kahn's algorithm: stage depths (terminals 0); cycle stages get none."""
-        pending = {name: len(s.transitions) for name, s in self.stages.items()}
+        """Kahn's algorithm over the nonzero transitions (the ones the plan
+        keeps): stage depths (terminals 0); cycle stages get none."""
+        targets = {
+            name: [t.target for t in s.transitions if t.probability > 0.0]
+            for name, s in self.stages.items()
+        }
+        pending = {name: len(ts) for name, ts in targets.items()}
         upstream: dict[str, list[str]] = {name: [] for name in self.stages}
-        for name, s in self.stages.items():
-            for t in s.transitions:
-                upstream[t.target].append(name)
+        for name, ts in targets.items():
+            for target in ts:
+                upstream[target].append(name)
         ready = [name for name, d in pending.items() if d == 0]
         depth: dict[str, int] = {}
         while ready:
             name = ready.pop()
-            targets = (depth[t.target] + 1 for t in self.stages[name].transitions)
-            depth[name] = max(targets, default=0)
+            depth[name] = max((depth[t] + 1 for t in targets[name]), default=0)
             for source in upstream[name]:
                 pending[source] -= 1
                 if pending[source] == 0:
@@ -458,60 +527,46 @@ class ChannelGraphModel:
         inc, out = rates[self._source], m * rates[self._target]
         return _blocking_factor(m, inc, out, self._queue_probability)
 
-    def _mix(self, wave: _Wave, blocks, service, wait, out: np.ndarray) -> None:
-        """The Eq. 11 kernel: write a wave's service-time mixtures into ``out``.
-
-        ``np.add.at`` sums each stage's terms left to right, in transition order.
-        """
-        e = wave.edges
-        target = self._target[e]
-        terms = self._probability[e] * (service[target] + charged_wait(blocks[e], wait[target]))
-        out[wave.stages] = self._base[wave.stages]
-        np.add.at(out, self._source[e], terms)
-
-    def _wait(self, wave: _Wave, rates, service, out: np.ndarray) -> None:
-        """Write a wave's M/G/m waits into ``out`` (``inf`` where diverged)."""
-        for m, rows in wave.groups:
-            x = service[rows]
-            scv = scv_for_mode_batch(self.variant.scv_mode, x, self.message_flits)
-            out[rows] = mgm_waiting_time_batch(m * rates[rows], x, m, scv)
-
     def _solve(self, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Run the plan: ``(S, K)`` service and wait, and the steady-state mask.
 
         Untraced (the public entry points open the span).  A diverged
         service yields an ``inf`` wait, so the waits decide the mask.
+        One ``np.errstate`` covers the whole solve: ``inf`` and ``nan``
+        from diverged points stay in the masked entries.
         """
         if METRICS.enabled:
             METRICS.add("solve.batch")
             METRICS.add("solve.points", float(scales.size))
         rates = np.multiply.outer(self._rate, scales)
-        blocks = self._blocking(rates)
-        service, wait = np.empty_like(rates), np.empty_like(rates)
-        if self._acyclic:
-            for wave in self._waves:
-                self._mix(wave, blocks, service, wait, service)
-                self._wait(wave, rates, service, wait)
-        else:
-            service = self._fixed_point(rates, blocks)
-            self._wait(self._waves[0], rates, service, wait)
+        wait = np.empty_like(rates)
+        with np.errstate(all="ignore"):
+            kernel = _Kernel(self, rates)
+            if self._acyclic:
+                service = np.empty_like(rates)
+                for wave in self._waves:
+                    kernel.mix(wave, service, wait, service)
+                    kernel.wait(wave, service, wait)
+            else:
+                service = self._fixed_point(kernel, rates.shape)
+                kernel.wait(self._waves[0], service, wait)
         finite = np.all(np.isfinite(wait), axis=0)
         if METRICS.enabled:
             METRICS.add("solve.saturated_points", float(np.count_nonzero(~finite)))
         return service, wait, finite
 
-    def _fixed_point(self, rates: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    def _fixed_point(self, kernel: _Kernel, shape: tuple[int, int]) -> np.ndarray:
         """Iterate the Eq. 11 kernel over the graph's one wave to a fixed point."""
         (wave,) = self._waves
 
         def step(x: np.ndarray) -> np.ndarray:
             wait, out = np.empty_like(x), np.empty_like(x)
-            self._wait(wave, rates, x, wait)
-            self._mix(wave, blocks, x, wait, out)
+            kernel.wait(wave, x, wait)
+            kernel.mix(wave, x, wait, out)
             return out
 
-        n_points = rates.shape[1]
-        x0 = np.full(rates.shape, float(self.message_flits))
+        n_points = shape[1]
+        x0 = np.full(shape, float(self.message_flits))
         # Near saturation the iteration's contraction rate approaches 1
         # (critical slowing down), so a strict 1e-12 tolerance can exhaust
         # any budget while the answer is already correct to far better than

@@ -49,6 +49,28 @@ class ScvMode(enum.Enum):
     EXPONENTIAL = "exponential"
 
 
+def _draper_ghosh(mean_service, message_flits):
+    """Eq. 5 on checked positive services, scalar or array (unchecked core)."""
+    ratio = np.maximum(mean_service - message_flits, 0.0) / mean_service
+    return ratio * ratio
+
+
+def _scv(mode: ScvMode, mean_service, message_flits):
+    """The SCV of ``mode`` (unchecked core; a constant mode gives a scalar).
+
+    The stage-graph solver calls it on raw service arrays: an ``inf``
+    service gives a ``nan`` Draper-Ghosh SCV there, which the M/G/m wait
+    maps to ``inf`` with the rest of the diverged point.
+    """
+    if mode is ScvMode.DRAPER_GHOSH:
+        return _draper_ghosh(mean_service, message_flits)
+    if mode is ScvMode.DETERMINISTIC:
+        return 0.0
+    if mode is ScvMode.EXPONENTIAL:
+        return 1.0
+    raise ConfigurationError(f"unknown ScvMode: {mode!r}")
+
+
 def scv_draper_ghosh(mean_service: float, message_flits: float) -> float:
     """Draper–Ghosh SCV approximation (Eq. 5 of the paper).
 
@@ -65,8 +87,7 @@ def scv_draper_ghosh(mean_service: float, message_flits: float) -> float:
         raise ConfigurationError(f"mean_service must be positive, got {mean_service!r}")
     if message_flits <= 0:
         raise ConfigurationError(f"message_flits must be positive, got {message_flits!r}")
-    blocking = max(mean_service - message_flits, 0.0)
-    return (blocking / mean_service) ** 2
+    return float(_draper_ghosh(mean_service, message_flits))
 
 
 def scv_draper_ghosh_batch(
@@ -78,25 +99,14 @@ def scv_draper_ghosh_batch(
     non-finite services (saturated points) yield an SCV of 0, matching the
     solvers' scalar convention of suppressing the SCV once a wait diverges.
     """
-    if message_flits <= 0:
-        raise ConfigurationError(f"message_flits must be positive, got {message_flits!r}")
-    service = np.asarray(mean_service, dtype=float)
-    finite = np.isfinite(service)
-    safe = np.where(finite, service, 1.0)
-    blocking = np.maximum(safe - message_flits, 0.0)
-    ratio = blocking / safe
-    return np.where(finite, ratio * ratio, 0.0)
+    return scv_for_mode_batch(ScvMode.DRAPER_GHOSH, mean_service, message_flits)
 
 
 def scv_for_mode(mode: ScvMode, mean_service: float, message_flits: float) -> float:
     """Evaluate the SCV under the given approximation mode."""
     if mode is ScvMode.DRAPER_GHOSH:
         return scv_draper_ghosh(mean_service, message_flits)
-    if mode is ScvMode.DETERMINISTIC:
-        return 0.0
-    if mode is ScvMode.EXPONENTIAL:
-        return 1.0
-    raise ConfigurationError(f"unknown ScvMode: {mode!r}")
+    return _scv(mode, mean_service, message_flits)
 
 
 def scv_for_mode_batch(
@@ -107,14 +117,12 @@ def scv_for_mode_batch(
     Non-finite (saturated) entries evaluate to SCV 0 under every mode, so
     batch solvers can keep broadcasting past saturation without NaNs.
     """
+    if mode is ScvMode.DRAPER_GHOSH and message_flits <= 0:
+        raise ConfigurationError(f"message_flits must be positive, got {message_flits!r}")
     service = np.asarray(mean_service, dtype=float)
-    if mode is ScvMode.DRAPER_GHOSH:
-        return scv_draper_ghosh_batch(service, message_flits)
-    if mode is ScvMode.DETERMINISTIC:
-        return np.zeros_like(service)
-    if mode is ScvMode.EXPONENTIAL:
-        return np.where(np.isfinite(service), 1.0, 0.0)
-    raise ConfigurationError(f"unknown ScvMode: {mode!r}")
+    finite = np.isfinite(service)
+    scv = _scv(mode, np.where(finite, service, 1.0), message_flits)
+    return np.where(finite, scv, 0.0)
 
 
 @dataclass(frozen=True)

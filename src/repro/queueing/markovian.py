@@ -29,6 +29,33 @@ __all__ = [
 ]
 
 
+def _check_erlang(servers: int, offered_load) -> None:
+    if not isinstance(servers, int) or servers <= 0:
+        raise ConfigurationError(f"servers must be a positive integer, got {servers!r}")
+    if np.any(np.less(offered_load, 0)):
+        raise ConfigurationError("offered_load must be >= 0")
+
+
+def _erlang_c(servers: int, offered_load):
+    """Erlang C at ``0 <= a < servers``, scalar or array (unchecked core).
+
+    The stable recurrence on the Erlang-B blocking probability; ``a = 0``
+    gives exactly 0.  Arrays need the caller's ``np.errstate`` wherever
+    entries lie outside the domain (the caller masks those).
+    """
+    b = 1.0
+    for k in range(1, servers + 1):
+        ab = offered_load * b
+        b = ab / (k + ab)
+    rho = offered_load / servers
+    return b / (1.0 - rho + rho * b)
+
+
+def _mmc_wait(offered_load, mean_service, servers: int):
+    """Exact M/M/c wait at offered load ``a < servers`` (unchecked, unmasked core)."""
+    return _erlang_c(servers, offered_load) * mean_service / (servers - offered_load)
+
+
 def erlang_c(servers: int, offered_load: float) -> float:
     """Erlang-C probability that an arrival must wait in an M/M/c queue.
 
@@ -40,20 +67,12 @@ def erlang_c(servers: int, offered_load: float) -> float:
         Offered load ``a = lambda * x_bar`` in Erlangs; must satisfy
         ``a < c`` for a steady state (returns 1.0 at or past saturation).
     """
-    if not isinstance(servers, int) or servers <= 0:
-        raise ConfigurationError(f"servers must be a positive integer, got {servers!r}")
-    if offered_load < 0:
-        raise ConfigurationError(f"offered_load must be >= 0, got {offered_load!r}")
+    _check_erlang(servers, offered_load)
     if is_zero(offered_load):
         return 0.0
     if offered_load >= servers:
         return 1.0
-    # Stable recurrence on the Erlang-B blocking probability.
-    b = 1.0
-    for k in range(1, servers + 1):
-        b = offered_load * b / (k + offered_load * b)
-    rho = offered_load / servers
-    return b / (1.0 - rho + rho * b)
+    return _erlang_c(servers, offered_load)
 
 
 def erlang_c_batch(servers: int, offered_load: np.ndarray) -> np.ndarray:
@@ -63,24 +82,11 @@ def erlang_c_batch(servers: int, offered_load: np.ndarray) -> np.ndarray:
     order, so each entry is bit-compatible with the scalar evaluation).
     Entries at or past saturation (``a >= servers``) evaluate to 1.0.
     """
-    if not isinstance(servers, int) or servers <= 0:
-        raise ConfigurationError(f"servers must be a positive integer, got {servers!r}")
     a = np.asarray(offered_load, dtype=float)
-    if np.any(a < 0):
-        raise ConfigurationError("offered_load must be >= 0")
-    # Clamp saturated/non-finite entries for the recurrence; they are
-    # overwritten by the saturation mask below.
-    saturated = ~(a < servers)
-    safe = np.where(saturated, 0.0, a)
-    b = np.ones_like(safe)
-    for k in range(1, servers + 1):
-        ab = safe * b
-        b = ab / (k + ab)
-    rho = safe / servers
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = b / (1.0 - rho + rho * b)
-    out = np.where(is_zero(safe), 0.0, out)
-    return np.where(saturated, 1.0, out)
+    _check_erlang(servers, a)
+    with np.errstate(all="ignore"):
+        out = _erlang_c(servers, a)
+    return np.where(a < servers, out, 1.0)
 
 
 def mm1_waiting_time(arrival_rate: float, mean_service: float) -> float:
@@ -105,7 +111,8 @@ def mmc_waiting_time(arrival_rate: float, mean_service: float, servers: int) -> 
         return math.inf
     if is_zero(a):
         return 0.0
-    return erlang_c(servers, a) * mean_service / (servers - a)
+    _check_erlang(servers, a)
+    return _mmc_wait(a, mean_service, servers)
 
 
 def mmc_waiting_time_batch(
@@ -118,15 +125,11 @@ def mmc_waiting_time_batch(
     """
     rate = np.asarray(arrival_rate, dtype=float)
     service = np.asarray(mean_service, dtype=float)
-    finite = np.isfinite(service)
-    safe_service = np.where(finite, service, 1.0)
-    a = rate * safe_service
-    saturated = ~(a < servers)
-    safe_a = np.where(saturated, 0.0, a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = erlang_c_batch(servers, safe_a) * safe_service / (servers - safe_a)
-    out = np.where(is_zero(safe_a), 0.0, out)
-    return np.where(saturated | ~finite, np.inf, out)
+    with np.errstate(all="ignore"):
+        a = rate * service
+        _check_erlang(servers, a)
+        wait = _mmc_wait(a, service, servers)
+    return np.where(a < servers, wait, np.inf)
 
 
 def md1_waiting_time(arrival_rate: float, mean_service: float) -> float:

@@ -37,6 +37,16 @@ def mg1_utilization(arrival_rate: float, mean_service: float) -> float:
     return arrival_rate * mean_service
 
 
+def _pollaczek_khinchine(rho, mean_service, scv):
+    """Eq. 4 at utilization ``rho`` (unchecked core, scalar or array).
+
+    Unmasked: only ``rho < 1`` is a steady state, and the caller maps the
+    rest to ``inf`` (an ``inf`` service gives ``rho = inf`` or ``nan``, so
+    ``rho < 1`` masks it too).  Arrays need the caller's ``np.errstate``.
+    """
+    return rho * mean_service * (1.0 + scv) / (2.0 * (1.0 - rho))
+
+
 def mg1_waiting_time(arrival_rate: float, mean_service: float, scv: float = 0.0) -> float:
     """Mean M/G/1 queue wait (Pollaczek–Khinchine; Eq. 4).
 
@@ -52,8 +62,8 @@ def mg1_waiting_time(arrival_rate: float, mean_service: float, scv: float = 0.0)
     Returns
     -------
     float
-        Mean waiting time in cycles; ``inf`` when ``rho >= 1``; ``nan`` is
-        propagated if ``mean_service`` is non-finite.
+        Mean waiting time in cycles; ``inf`` when ``rho >= 1`` or when
+        ``mean_service`` is non-finite (as :func:`mg1_waiting_time_batch`).
     """
     if scv < 0:
         raise ConfigurationError(f"scv must be >= 0, got {scv!r}")
@@ -64,7 +74,7 @@ def mg1_waiting_time(arrival_rate: float, mean_service: float, scv: float = 0.0)
         return math.inf
     if is_zero(rho):
         return 0.0
-    return rho * mean_service * (1.0 + scv) / (2.0 * (1.0 - rho))
+    return _pollaczek_khinchine(rho, mean_service, scv)
 
 
 def mg1_waiting_time_batch(
@@ -79,16 +89,10 @@ def mg1_waiting_time_batch(
     """
     rate = np.asarray(arrival_rate, dtype=float)
     service = np.asarray(mean_service, dtype=float)
-    scv_arr = np.asarray(scv, dtype=float)
-    finite = np.isfinite(service)
-    safe_service = np.where(finite, service, 1.0)
-    rho = rate * safe_service
-    saturated = ~(rho < 1.0)
-    safe_rho = np.where(saturated, 0.0, rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = safe_rho * safe_service * (1.0 + scv_arr) / (2.0 * (1.0 - safe_rho))
-    out = np.where(is_zero(safe_rho), 0.0, out)
-    return np.where(saturated | ~finite, np.inf, out)
+    with np.errstate(all="ignore"):
+        rho = rate * service
+        wait = _pollaczek_khinchine(rho, service, np.asarray(scv, dtype=float))
+    return np.where(rho < 1.0, wait, np.inf)
 
 
 def mg1_waiting_time_wormhole(

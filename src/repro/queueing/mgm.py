@@ -33,8 +33,8 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..util.validation import is_zero
 from .distributions import scv_draper_ghosh
-from .markovian import mmc_waiting_time, mmc_waiting_time_batch
-from .mg1 import mg1_waiting_time_batch
+from .markovian import _mmc_wait, mmc_waiting_time
+from .mg1 import _pollaczek_khinchine
 
 __all__ = [
     "hokstad_mg2_waiting_time",
@@ -84,6 +84,27 @@ def hokstad_mg2_waiting_time(
     )
 
 
+def _two_moment(scv, mmm_wait):
+    """The ``(1 + C_b^2)/2`` scaling of an M/M/m wait (unchecked core)."""
+    return (1.0 + scv) / 2.0 * mmm_wait
+
+
+def _mgm_wait(total_arrival_rate, mean_service, servers: int, scv):
+    """M/G/m waits, ``inf`` past saturation (unchecked core; caller's ``np.errstate``).
+
+    ``servers == 1`` is Pollaczek–Khinchine.  The one test
+    ``a = lambda * x_bar < servers`` masks saturated points and non-finite
+    services alike (an ``inf`` service makes ``a`` ``inf`` or ``nan``), so
+    whatever the formulas give there — ``nan`` SCVs included — is dropped.
+    """
+    a = total_arrival_rate * mean_service
+    if servers == 1:
+        wait = _pollaczek_khinchine(a, mean_service, scv)
+    else:
+        wait = _two_moment(scv, _mmc_wait(a, mean_service, servers))
+    return np.where(a < servers, wait, np.inf)
+
+
 def mgm_waiting_time(
     total_arrival_rate: float, mean_service: float, servers: int, scv: float = 0.0
 ) -> float:
@@ -100,7 +121,7 @@ def mgm_waiting_time(
     w_mmm = mmc_waiting_time(total_arrival_rate, mean_service, servers)
     if math.isinf(w_mmm):
         return math.inf
-    return (1.0 + scv) / 2.0 * w_mmm
+    return _two_moment(scv, w_mmm)
 
 
 def mgm_waiting_time_batch(
@@ -113,18 +134,18 @@ def mgm_waiting_time_batch(
 
     Same two-moment scaling of the exact M/M/m wait, broadcast over a load
     axis; saturated and non-finite entries evaluate to ``inf`` per point.
-    ``servers == 1`` is Pollaczek–Khinchine (:func:`mg1_waiting_time_batch`),
-    which the Erlang-C form equals up to rounding.
+    ``servers == 1`` is Pollaczek–Khinchine (as
+    :func:`~repro.queueing.mg1.mg1_waiting_time_batch`), which the
+    Erlang-C form equals up to rounding.
     """
-    if servers == 1:
-        return mg1_waiting_time_batch(total_arrival_rate, mean_service, scv)
+    if not isinstance(servers, int) or servers < 1:
+        raise ConfigurationError(f"servers must be a positive integer, got {servers!r}")
+    rate = np.asarray(total_arrival_rate, dtype=float)
+    if np.any(rate < 0):
+        raise ConfigurationError("total_arrival_rate must be >= 0")
     service = np.asarray(mean_service, dtype=float)
-    scv_arr = np.asarray(scv, dtype=float)
-    w_mmm = mmc_waiting_time_batch(total_arrival_rate, service, servers)
-    diverged = ~np.isfinite(w_mmm)
-    safe_w = np.where(diverged, 0.0, w_mmm)
-    out = (1.0 + scv_arr) / 2.0 * safe_w
-    return np.where(diverged | ~np.isfinite(service), np.inf, out)
+    with np.errstate(all="ignore"):
+        return _mgm_wait(rate, service, servers, np.asarray(scv, dtype=float))
 
 
 def mgm_waiting_time_wormhole(

@@ -28,8 +28,7 @@ Topology families resolve through the design-family registry
 assignment, and the family supplies the analytical evaluator, the
 prior-art baseline evaluator, and the simulator topology.  Every
 evaluator (closed forms and stage graphs alike) answers the operating
-point as a one-element ``latency_batch`` and the curve as one batched
-sweep.
+point and the curve together, as one batched sweep.
 """
 
 from __future__ import annotations
@@ -139,7 +138,8 @@ def _variant_label(evaluator: Any) -> str:
 
 
 def _point_latency(evaluator: Any, workload: Workload) -> float:
-    """Latency at one operating point: a one-element batched solve."""
+    """Latency at one operating point: a one-element batched solve (the
+    simulate backend's model prediction)."""
     return float(
         np.asarray(
             evaluator.latency_batch(
@@ -211,15 +211,22 @@ def _run_analytical(scenario: Scenario) -> tuple[dict, dict]:
 
     t0 = time.perf_counter()
     with trace_span("run/evaluate", points=scenario.sweep_points):
-        point = _point_latency(evaluator, scenario.workload())
+        # The point rides as entry 0 of the curve's solve: one batched solve
+        # instead of two (the sweep computes flit_load / message_flits
+        # exactly as Scenario.workload() does).
         grid = _grid_for(scenario, sat.flit_load)
+        loads = [scenario.flit_load, *(() if grid is None else grid)]
+        swept = latency_sweep(
+            evaluator,
+            scenario.message_flits,
+            loads,
+            label=f"{scenario.backend} {scenario.message_flits}-flit",
+        )
+        point = float(swept.latencies[0])
         curve = None
         if grid is not None:
-            curve = latency_sweep(
-                evaluator,
-                scenario.message_flits,
-                grid,
-                label=f"{scenario.backend} {scenario.message_flits}-flit",
+            curve = LatencyCurve(
+                swept.label, swept.message_flits, swept.flit_loads[1:], swept.latencies[1:]
             )
     timings["evaluate_s"] = time.perf_counter() - t0
 

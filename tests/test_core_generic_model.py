@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ButterflyFatTreeModel,
@@ -18,7 +20,15 @@ from repro import (
     bft_stage_graph,
     hypercube_stage_graph,
 )
-from repro.queueing import mg1_waiting_time
+from repro.core.batch import charged_wait
+from repro.core.blocking import blocking_probability_batch
+from repro.queueing import (
+    ScvMode,
+    mg1_waiting_time,
+    mgm_waiting_time_batch,
+    scv_for_mode_batch,
+)
+from repro.util.fixedpoint import fixed_point_batch
 
 
 def _single_queue_graph(rate: float, flits: int) -> ChannelGraphModel:
@@ -108,6 +118,154 @@ class TestTwoStagePipeline:
 
     def test_acyclic_detection(self):
         assert _single_queue_graph(0.01, 16).is_acyclic
+
+
+class TestZeroProbabilityTransitions:
+    """A transition of probability 0 carries no traffic: the plan drops it,
+    and the depth walk must not see a cycle through it."""
+
+    def _chain(self, back_edge: bool) -> ChannelGraphModel:
+        b_moves = (Transition("c", 1.0),) + ((Transition("a", 0.0),) if back_edge else ())
+        stages = [
+            Stage("c", rate_per_server=0.01),
+            Stage("b", rate_per_server=0.01, transitions=b_moves),
+            Stage("a", rate_per_server=0.01, transitions=(Transition("b", 1.0),)),
+        ]
+        return ChannelGraphModel(stages, message_flits=16, entry="a", average_distance=3.0)
+
+    def test_zero_edge_is_acyclic_and_solves_like_the_graph_without_it(self):
+        with_edge, without = self._chain(True), self._chain(False)
+        assert with_edge.is_acyclic
+        assert with_edge.check(expect_acyclic=True) == []
+        scales = np.linspace(0.0, 8.0, 33)
+        a, b = with_edge.solve_batch(scales), without.solve_batch(scales)
+        for name in ("a", "b", "c"):
+            assert a[name].service.tobytes() == b[name].service.tobytes()
+            assert a[name].wait.tobytes() == b[name].wait.tobytes()
+        loads = scales * 0.01
+        assert with_edge.latency_batch(loads).tobytes() == without.latency_batch(loads).tobytes()
+
+
+def _reference(graph: ChannelGraphModel, scales: np.ndarray):
+    """Eqs. 3-11 of one stage from the public formulas (the lean kernel's spec).
+
+    Returns ``service_of(name, service, wait)`` and ``wait_of(name,
+    service)`` over name-keyed dicts of ``(K,)`` rows.  A service sums its
+    nonzero transitions' terms ``R * (x_t + P * W_t)`` left to right in
+    transition order; a terminal stage serves one message length.
+    """
+    variant, flits = graph.variant, graph.message_flits
+    rate = {n: s.rate_per_server * scales for n, s in graph.stages.items()}
+
+    def service_of(name, service, wait):
+        total = None
+        for t in graph.stages[name].transitions:
+            if t.probability > 0.0:
+                m = graph.stages[t.target].servers
+                block = blocking_probability_batch(
+                    m, rate[name], m * rate[t.target], t.effective_queue_probability,
+                    enabled=variant.blocking_correction,
+                )
+                term = t.probability * (service[t.target] + charged_wait(block, wait[t.target]))
+                total = term if total is None else total + term
+        return np.full(scales.shape, float(flits)) if total is None else total
+
+    def wait_of(name, service):
+        m = graph.stages[name].servers
+        scv = scv_for_mode_batch(variant.scv_mode, service[name], flits)
+        return mgm_waiting_time_batch(m * rate[name], service[name], m, scv)
+
+    return service_of, wait_of
+
+
+def _assert_rows_equal(solved, service, wait):
+    for name, row in solved.items():
+        assert np.array_equal(np.isinf(row.service), np.isinf(service[name])), name
+        assert np.array_equal(np.isinf(row.wait), np.isinf(wait[name])), name
+        assert row.service.tobytes() == service[name].tobytes(), name
+        assert row.wait.tobytes() == wait[name].tobytes(), name
+
+
+_VARIANTS = st.builds(
+    ModelVariant,
+    blocking_correction=st.booleans(),
+    scv_mode=st.sampled_from(list(ScvMode)),
+)
+# Scale factors from zero load to far past saturation.
+_SCALES = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0])
+
+
+@st.composite
+def _acyclic_graphs(draw):
+    """Stage ``i`` routes only to stages ``j < i``: fan-out 1-4, 1-4 servers."""
+    n = draw(st.integers(2, 7))
+    stages = []
+    for i in range(n):
+        servers = draw(st.integers(1, 4))
+        rate = draw(st.floats(0.0, 0.02, allow_subnormal=False))
+        transitions = ()
+        if i and (i == n - 1 or draw(st.booleans())):
+            targets = draw(st.lists(st.integers(0, i - 1), min_size=1,
+                                    max_size=min(4, i), unique=True))
+            weights = [draw(st.floats(0.05, 1.0)) for _ in targets]
+            total = sum(weights)
+            transitions = tuple(
+                Transition(f"s{t}", w / total, draw(st.none() | st.floats(0.0, w / total)))
+                for t, w in zip(targets, weights)
+            )
+        stages.append(Stage(f"s{i}", rate, servers, transitions))
+    return stages
+
+
+class TestKernelMatchesPublicFormulas:
+    """The solver's lean Eq. 11 kernel equals the public queueing formulas
+    evaluated stage by stage, bit for bit and with the same ``inf`` mask."""
+
+    @given(stages=_acyclic_graphs(), variant=_VARIANTS, flits=st.sampled_from([4, 8, 16]))
+    @settings(max_examples=150, deadline=None)
+    def test_acyclic_graph_rows(self, stages, variant, flits):
+        graph = ChannelGraphModel(
+            stages, message_flits=flits, entry=stages[-1].name,
+            average_distance=3.0, variant=variant,
+        )
+        assert graph.is_acyclic
+        service_of, wait_of = _reference(graph, _SCALES)
+        service: dict = {}
+        wait: dict = {}
+        # Stage i routes only to stages j < i, so list order is a valid sweep.
+        for s in stages:
+            service[s.name] = service_of(s.name, service, wait)
+            wait[s.name] = wait_of(s.name, service)
+        _assert_rows_equal(graph.solve_batch(_SCALES), service, wait)
+
+    @pytest.mark.parametrize("variant", [ModelVariant.paper(), ModelVariant.naive(),
+                                         ModelVariant.exponential_scv()])
+    def test_ring_graph_rows(self, variant):
+        stages = [
+            Stage("eject", rate_per_server=0.002),
+            Stage("ring", rate_per_server=0.004, servers=2, transitions=(
+                Transition("ring", 0.5, 0.25), Transition("eject", 0.5))),
+            Stage("inject", rate_per_server=0.002, transitions=(Transition("ring", 1.0),)),
+        ]
+        graph = ChannelGraphModel(
+            stages, message_flits=8, entry="inject", average_distance=3.0, variant=variant
+        )
+        assert not graph.is_acyclic
+        names = [s.name for s in stages]
+        service_of, wait_of = _reference(graph, _SCALES)
+
+        def step(x):
+            # The cyclic solver's step: every wait first, then every mixture.
+            service = dict(zip(names, x))
+            wait = {n: wait_of(n, service) for n in names}
+            return np.array([service_of(n, service, wait) for n in names])
+
+        x0 = np.full((len(names), _SCALES.size), 8.0)
+        result = fixed_point_batch(step, x0, tol=1e-12, max_iter=20_000, damping=0.5)
+        service = dict(zip(names, result.value))
+        solved = graph.solve_batch(_SCALES)
+        assert np.isinf(solved["inject"].wait).any() and np.isfinite(solved["inject"].wait).any()
+        _assert_rows_equal(solved, service, {n: wait_of(n, service) for n in names})
 
 
 class TestCyclicGraphs:

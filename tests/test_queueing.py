@@ -259,7 +259,10 @@ class TestHokstadMg2:
         assert w1 == pytest.approx(2.0 * w0, rel=1e-12)
 
     @given(
-        rho=st.floats(0.0, 1.5),
+        # Subnormal loads are left out: there a P-K wait of a few ulps can
+        # round to 0 while the Erlang-C form keeps 5e-324, so no relative
+        # tolerance holds (rho = 5e-324, x = 1, scv = 0.25 gives 0 vs 5e-324).
+        rho=st.floats(0.0, 1.5, allow_subnormal=False),
         x=st.floats(1.0, 64.0),
         scv=st.floats(0.0, 1.0),
     )
