@@ -87,12 +87,14 @@ def mg1_waiting_time_batch(
     ``rho >= 1`` and non-finite services evaluate to ``inf`` per point, so
     a load sweep crosses saturation without poisoning its finite entries.
     """
+    # The one-server M/G/m core; imported here because mgm builds on this
+    # module's Pollaczek-Khinchine core.
+    from .mgm import _mgm_wait
+
     rate = np.asarray(arrival_rate, dtype=float)
     service = np.asarray(mean_service, dtype=float)
     with np.errstate(all="ignore"):
-        rho = rate * service
-        wait = _pollaczek_khinchine(rho, service, np.asarray(scv, dtype=float))
-    return np.where(rho < 1.0, wait, np.inf)
+        return _mgm_wait(rate, service, 1, np.asarray(scv, dtype=float))
 
 
 def mg1_waiting_time_wormhole(

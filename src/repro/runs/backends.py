@@ -28,7 +28,8 @@ Topology families resolve through the design-family registry
 assignment, and the family supplies the analytical evaluator, the
 prior-art baseline evaluator, and the simulator topology.  Every
 evaluator (closed forms and stage graphs alike) answers the operating
-point and the curve together, as one batched sweep.
+point and the curve as batched solves: one shared sweep where the load
+columns are independent, two solves on a cyclic stage graph.
 """
 
 from __future__ import annotations
@@ -138,8 +139,7 @@ def _variant_label(evaluator: Any) -> str:
 
 
 def _point_latency(evaluator: Any, workload: Workload) -> float:
-    """Latency at one operating point: a one-element batched solve (the
-    simulate backend's model prediction)."""
+    """Latency at one operating point: a one-element batched solve."""
     return float(
         np.asarray(
             evaluator.latency_batch(
@@ -211,23 +211,28 @@ def _run_analytical(scenario: Scenario) -> tuple[dict, dict]:
 
     t0 = time.perf_counter()
     with trace_span("run/evaluate", points=scenario.sweep_points):
-        # The point rides as entry 0 of the curve's solve: one batched solve
-        # instead of two (the sweep computes flit_load / message_flits
-        # exactly as Scenario.workload() does).
         grid = _grid_for(scenario, sat.flit_load)
-        loads = [scenario.flit_load, *(() if grid is None else grid)]
-        swept = latency_sweep(
-            evaluator,
-            scenario.message_flits,
-            loads,
-            label=f"{scenario.backend} {scenario.message_flits}-flit",
-        )
-        point = float(swept.latencies[0])
+        label = f"{scenario.backend} {scenario.message_flits}-flit"
         curve = None
-        if grid is not None:
+        # Where every load column is solved on its own (closed forms and
+        # acyclic stage graphs), the point rides as entry 0 of the curve's
+        # solve: one batched solve instead of two, with the same bits (the
+        # sweep computes flit_load / message_flits as Scenario.workload()
+        # does).  A cyclic fixed point iterates all columns until the slowest
+        # converges, so there a shared solve would tie the point's low bits
+        # to the grid; the point keeps its own solve.
+        if grid is not None and getattr(evaluator, "is_acyclic", True):
+            swept = latency_sweep(
+                evaluator, scenario.message_flits, [scenario.flit_load, *grid], label=label
+            )
+            point = float(swept.latencies[0])
             curve = LatencyCurve(
                 swept.label, swept.message_flits, swept.flit_loads[1:], swept.latencies[1:]
             )
+        else:
+            point = _point_latency(evaluator, scenario.workload())
+            if grid is not None:
+                curve = latency_sweep(evaluator, scenario.message_flits, grid, label=label)
     timings["evaluate_s"] = time.perf_counter() - t0
 
     metrics = {

@@ -461,6 +461,31 @@ class TestConvergenceDiagnostics:
         assert "residual" in str(err) and "worst channel 'a'" in str(err)
 
 
+class TestCyclicRunPoint:
+    def test_point_does_not_depend_on_the_curve(self, monkeypatch):
+        # A cyclic fixed point iterates all its load columns until the
+        # slowest converges, so the runs layer solves a cyclic graph's
+        # operating point on its own: the recorded point has the same bits
+        # with and without a curve.  An explicit grid does not use the
+        # Eq. 26 search, so it is stubbed out to keep the test fast.
+        import repro.runs.backends as backends
+        from repro.core.throughput import SaturationResult
+
+        monkeypatch.setattr(
+            backends,
+            "saturation_injection_rate",
+            lambda evaluator, flits: SaturationResult(flits, 0.01, 0.01, 0.01),
+        )
+        shape, dead = FAMILY_MATRIX[-1]
+        alone = scenario_for(shape, dead, flit_load=0.05)
+        assert not backends._evaluator_for(alone).is_acyclic
+        swept = scenario_for(shape, dead, flit_load=0.05, flit_loads=(0.02, 0.14, 0.26, 0.28))
+        point = Runner().run(alone).metrics["point"]["latency"]
+        record = Runner().run(swept).metrics
+        assert record["point"]["latency"] == point
+        assert len(record["curve"]["latencies"]) == 4
+
+
 class _CrashOnFirstSeed(EventDrivenWormholeSimulator):
     """Simulator that crashes on the first seed it ever sees."""
 
